@@ -15,25 +15,22 @@
 // util/thread_pool.h exists), and whether an EngineHost batch is
 // bit-identical for any pool size (acceptance: it is).
 //
-// A second section measures the columnar dataset engine: on a 512k-row
-// dataset it serves one 64-query histogram batch per ScanMode — row
-// (every query walks all rows), columnar (every query runs the
-// dictionary-encoded kernel), shared (the batch runs the kernel once) —
-// checks the three transcripts are bit-identical, and gates the shared
-// scan at >= 3x the row-major execute-phase throughput.
+// A second section times a fresh engine's first 64-query histogram batch
+// on a 512k-row dataset — the batch that counts h(D), once, for every
+// query in it — and checks the transcript is bit-identical across two
+// fresh engines with the same root seed.
 //
-// A third section times the PR-9 op kinds — quadtree on the 2-attribute
-// scan workload and hier_range on a Line(2048) ordered tenant — and
-// checks each transcript is bit-identical across two fresh engines with
-// the same root seed.
+// A third section times the quadtree and hier_range op kinds —
+// quadtree on the 512k-row workload and hier_range on a Line(2048)
+// ordered tenant — with the same identity check per op.
 //
 // Alongside the CSV on stdout, the run is written as
 // BENCH_engine_throughput.json (override with --json <path>): cold and
 // warm throughput, a warm-cache sweep over pool sizes {0, 1, 8}, the
-// columnar scan-mode comparison, the quadtree/hier_range section, and
-// the pass/fail checks.
-// bench/baselines/ holds a tracked baseline so a perf regression shows
-// up as a diff, not a memory.
+// first-batch and op sections, the pass/fail checks, and a `gate` block
+// naming the metrics and checks scripts/check_bench_regression.py gates
+// against bench/baselines/, the tracked baseline that makes a perf
+// regression show up as a diff, not a memory.
 
 #include <chrono>
 #include <cstdio>
@@ -335,16 +332,16 @@ int Run(const std::string& json_path) {
   std::printf("host_determinism_pool_1_vs_4,%s\n",
               host_ok ? "PASS" : "FAIL");
 
-  // --- Columnar scan engine: shared vs per-query vs row-major. -----------
+  // --- First batch on a fresh engine. -----------------------------------
   // The histogram-family execute phase is scan-bound once sensitivity is
-  // cached: every query needs the complete histogram of the data. An
-  // unconstrained policy (sensitivity is a cheap closed form, and a
-  // shared warm SensitivityCache removes even that) isolates the scan:
-  //   row      — every query walks all n rows (the pre-columnar layout),
-  //   columnar — every query runs the dictionary-encoded column kernel,
-  //   shared   — the batch runs ONE column kernel, every query reuses it.
-  // Same root seed + same admission order -> the three engines' served
-  // bytes must be bit-identical; that is checked, not assumed.
+  // cached: every query reads the complete histogram. A fresh engine
+  // counts h(D) at its first histogram query and every later query
+  // reads the memo, so its first batch pays exactly one pass over the
+  // rows. An unconstrained policy (a closed-form sensitivity, and a warm
+  // shared SensitivityCache removes even that) isolates that pass plus
+  // the batch's mechanism work. Same root seed + same admission order ->
+  // two fresh engines serve bit-identical batches; that is checked, not
+  // assumed.
   constexpr size_t kScanRows = 1 << 19;  // 512k rows, domain stays 2048
   constexpr size_t kScanQueries = 64;
   auto scan_policy = [&]() -> StatusOr<Policy> {
@@ -368,81 +365,58 @@ int Run(const std::string& json_path) {
     return 1;
   }
   auto scan_cache = std::make_shared<SensitivityCache>(64);
-  struct ScanPoint {
-    const char* name;
-    ScanMode mode;
-    double qps = 0.0;
-  };
-  std::vector<ScanPoint> scan_points = {
-      {"row", ScanMode::kRowMajor},
-      {"columnar", ScanMode::kPerQueryColumnar},
-      {"shared", ScanMode::kSharedColumnar},
-  };
-  std::vector<std::vector<QueryResponse>> scan_runs;
-  for (ScanPoint& point : scan_points) {
-    ReleaseEngineOptions opts;
-    opts.root_seed = kSeed;
-    opts.default_session_budget = 1e9;
-    opts.shared_cache = scan_cache;
-    opts.scan_mode = point.mode;
-    auto e = ReleaseEngine::Create(*scan_policy, *scan_data, opts);
+  ReleaseEngineOptions scan_opts;
+  scan_opts.root_seed = kSeed;
+  scan_opts.default_session_budget = 1e9;
+  scan_opts.shared_cache = scan_cache;
+  {
+    // Warm the shared sensitivity cache only; the measured engines below
+    // are fresh, so each one's first batch counts h(D) itself.
+    auto warm_engine =
+        ReleaseEngine::Create(*scan_policy, *scan_data, scan_opts);
+    if (!warm_engine.ok()) {
+      std::fprintf(stderr, "scan engine: %s\n",
+                   warm_engine.status().ToString().c_str());
+      return 1;
+    }
+    (void)(*warm_engine)->ServeBatch(HistogramBatch(1, kEps));
+  }
+  double first_batch_qps = 0.0;
+  std::vector<std::vector<QueryResponse>> first_batch_runs;
+  for (size_t run = 0; run < 2; ++run) {
+    auto e = ReleaseEngine::Create(*scan_policy, *scan_data, scan_opts);
     if (!e.ok()) {
       std::fprintf(stderr, "scan engine: %s\n",
                    e.status().ToString().c_str());
       return 1;
     }
-    // Warm the shared sensitivity cache only (a fresh engine per mode
-    // keeps the scan measurement itself cold: the measured batch below
-    // is each mode's FIRST batch, so shared mode is charged its one
-    // amortized scan rather than reusing a previous batch's product).
-    if (scan_cache->stats().misses == 0) {
-      ReleaseEngineOptions warm_opts = opts;
-      auto warm_engine =
-          ReleaseEngine::Create(*scan_policy, *scan_data, warm_opts);
-      if (warm_engine.ok()) {
-        (void)(*warm_engine)->ServeBatch(HistogramBatch(1, kEps));
-      }
-    }
     const auto start = Clock::now();
-    auto responses =
-        (*e)->ServeBatch(HistogramBatch(kScanQueries, kEps));
+    auto responses = (*e)->ServeBatch(HistogramBatch(kScanQueries, kEps));
     const double seconds = SecondsSince(start);
     for (const QueryResponse& r : responses) {
       if (!r.status.ok()) {
-        std::fprintf(stderr, "scan release (%s): %s\n", point.name,
+        std::fprintf(stderr, "first batch release: %s\n",
                      r.status.ToString().c_str());
         return 1;
       }
     }
-    point.qps = kScanQueries / seconds;
-    std::printf("scan_qps_%s,%.3f\n", point.name, point.qps);
-    scan_runs.push_back(std::move(responses));
+    if (run == 0) first_batch_qps = kScanQueries / seconds;
+    first_batch_runs.push_back(std::move(responses));
   }
-  const double scan_row_qps = scan_points[0].qps;
-  const double scan_columnar_qps = scan_points[1].qps;
-  const double scan_shared_qps = scan_points[2].qps;
-  const double columnar_vs_row = scan_columnar_qps / scan_row_qps;
-  const double shared_scan_vs_per_query =
-      scan_shared_qps / scan_columnar_qps;
-  const double shared_vs_row = scan_shared_qps / scan_row_qps;
-  const bool scan_identity = Identical(scan_runs[0], scan_runs[1]) &&
-                             Identical(scan_runs[1], scan_runs[2]);
-  const bool columnar_speedup_ok = shared_vs_row >= 3.0;
-  std::printf("columnar_vs_row,%.2f\n", columnar_vs_row);
-  std::printf("shared_scan_vs_per_query,%.2f\n", shared_scan_vs_per_query);
-  std::printf("shared_vs_row,%.2f\n", shared_vs_row);
-  std::printf("columnar_identity,%s\n", scan_identity ? "PASS" : "FAIL");
-  std::printf("columnar_speedup_ge_3x,%s\n",
-              columnar_speedup_ok ? "PASS" : "FAIL");
+  const bool first_batch_identity =
+      Identical(first_batch_runs[0], first_batch_runs[1]);
+  std::printf("first_batch_qps,%.3f\n", first_batch_qps);
+  std::printf("first_batch_identity,%s\n",
+              first_batch_identity ? "PASS" : "FAIL");
 
   // --- Spatial & ordered hierarchical ops. -------------------------------
-  // The two PR-9 op kinds, measured the same way the scan section is:
-  // warm shared SensitivityCache, one batch per engine, and a
-  // bit-identity check across two fresh engines with the same root seed
-  // (each op derives per-query noise from (seed, admission order), so
-  // the transcripts must match exactly).
+  // Measured the same way the first-batch section is: warm shared
+  // SensitivityCache, one batch per engine, and a bit-identity check
+  // across two fresh engines with the same root seed (each op derives
+  // per-query noise from (seed, admission order), so the transcripts
+  // must match exactly).
   constexpr size_t kOpQueries = 64;
-  // quadtree reuses the 2-attribute scan workload: the 4 x 512 domain
+  // quadtree reuses the 2-attribute first-batch workload: the 4 x 512 domain
   // resolves at depth 9, so each release builds and noises a ~350k-node
   // tree before answering the range count.
   double quadtree_qps = 0.0;
@@ -452,11 +426,7 @@ int Run(const std::string& json_path) {
         {"x0", "1"}, {"x1", "3"}, {"y0", "32"}, {"y1", "317"}};
     std::vector<std::vector<QueryResponse>> runs;
     for (size_t run = 0; run < 2; ++run) {
-      ReleaseEngineOptions opts;
-      opts.root_seed = kSeed;
-      opts.default_session_budget = 1e9;
-      opts.shared_cache = scan_cache;
-      auto e = ReleaseEngine::Create(*scan_policy, *scan_data, opts);
+      auto e = ReleaseEngine::Create(*scan_policy, *scan_data, scan_opts);
       if (!e.ok()) {
         std::fprintf(stderr, "quadtree engine: %s\n",
                      e.status().ToString().c_str());
@@ -509,11 +479,8 @@ int Run(const std::string& json_path) {
         {"lo", "256"}, {"hi", "1791"}};
     std::vector<std::vector<QueryResponse>> runs;
     for (size_t run = 0; run < 2; ++run) {
-      ReleaseEngineOptions opts;
-      opts.root_seed = kSeed;
-      opts.default_session_budget = 1e9;
-      opts.shared_cache = scan_cache;
-      auto e = ReleaseEngine::Create(*ordered_policy, *ordered_data, opts);
+      auto e =
+          ReleaseEngine::Create(*ordered_policy, *ordered_data, scan_opts);
       if (!e.ok()) {
         std::fprintf(stderr, "ordered engine: %s\n",
                      e.status().ToString().c_str());
@@ -550,10 +517,11 @@ int Run(const std::string& json_path) {
   std::fprintf(json,
                "  \"config\": {\"domain\": %llu, \"rows\": %zu, \"eps\": "
                "%g, \"cold_queries\": %zu, \"warm_queries\": %zu, "
+               "\"first_batch_rows\": %zu, \"first_batch_queries\": %zu, "
                "\"seed\": %llu},\n",
                static_cast<unsigned long long>(policy->domain().size()),
-               data->size(), kEps, kColdQueries, kWarmQueries,
-               static_cast<unsigned long long>(kSeed));
+               data->size(), kEps, kColdQueries, kWarmQueries, kScanRows,
+               kScanQueries, static_cast<unsigned long long>(kSeed));
   std::fprintf(json, "  \"cold_qps\": %.3f,\n", cold_qps);
   std::fprintf(json, "  \"warm_qps\": %.3f,\n", warm_qps);
   std::fprintf(json, "  \"speedup_warm_over_cold\": %.1f,\n", speedup);
@@ -570,42 +538,47 @@ int Run(const std::string& json_path) {
                "\"spawn_batches_per_sec\": %.1f, \"speedup\": %.2f},\n",
                kExecBatches / pool_seconds, kExecBatches / spawn_seconds,
                spawn_seconds / pool_seconds);
-  std::fprintf(json,
-               "  \"columnar\": {\"rows\": %zu, \"queries\": %zu, "
-               "\"row_qps\": %.3f, \"columnar_qps\": %.3f, "
-               "\"shared_qps\": %.3f, \"shared_vs_row\": %.2f},\n",
-               kScanRows, kScanQueries, scan_row_qps, scan_columnar_qps,
-               scan_shared_qps, shared_vs_row);
-  std::fprintf(json, "  \"columnar_vs_row\": %.2f,\n", columnar_vs_row);
-  std::fprintf(json, "  \"shared_scan_vs_per_query\": %.2f,\n",
-               shared_scan_vs_per_query);
+  std::fprintf(json, "  \"first_batch_qps\": %.3f,\n", first_batch_qps);
   std::fprintf(json,
                "  \"ops\": {\"queries\": %zu, \"quadtree_qps\": %.3f, "
                "\"hier_range_qps\": %.3f},\n",
                kOpQueries, quadtree_qps, hier_range_qps);
-  std::fprintf(json,
-               "  \"checks\": {\"speedup_ge_5x\": %s, "
-               "\"determinism_threads_1_vs_4\": %s, "
-               "\"host_determinism_pool_1_vs_4\": %s, "
-               "\"columnar_identity\": %s, "
-               "\"columnar_speedup_ge_3x\": %s, "
-               "\"quadtree_identity\": %s, "
-               "\"hier_range_identity\": %s}\n",
-               speedup >= 5.0 ? "true" : "false",
-               deterministic ? "true" : "false",
-               host_ok ? "true" : "false",
-               scan_identity ? "true" : "false",
-               columnar_speedup_ok ? "true" : "false",
-               quadtree_identity ? "true" : "false",
-               hier_range_identity ? "true" : "false");
+  // The gate block tells scripts/check_bench_regression.py what to
+  // gate: each listed metric (a dotted path into this file) against the
+  // baseline, and each listed check true in both files.
+  const char* gated_metrics[] = {"warm_qps", "first_batch_qps",
+                                 "ops.quadtree_qps", "ops.hier_range_qps"};
+  const std::pair<const char*, bool> checks[] = {
+      {"speedup_ge_5x", speedup >= 5.0},
+      {"determinism_threads_1_vs_4", deterministic},
+      {"host_determinism_pool_1_vs_4", host_ok},
+      {"first_batch_identity", first_batch_identity},
+      {"quadtree_identity", quadtree_identity},
+      {"hier_range_identity", hier_range_identity},
+  };
+  bool all_checks = true;
+  std::string checks_json;
+  std::string gate_checks;
+  for (const auto& [name, ok] : checks) {
+    all_checks &= ok;
+    const char* sep = checks_json.empty() ? "" : ", ";
+    checks_json += sep + std::string("\"") + name + "\": " +
+                   (ok ? "true" : "false");
+    gate_checks += sep + std::string("\"") + name + "\"";
+  }
+  std::string gate_metrics;
+  for (const char* metric : gated_metrics) {
+    gate_metrics += std::string(gate_metrics.empty() ? "" : ", ") + "\"" +
+                    metric + "\"";
+  }
+  std::fprintf(json, "  \"checks\": {%s},\n", checks_json.c_str());
+  std::fprintf(json, "  \"gate\": {\"metrics\": [%s], \"checks\": [%s]}\n",
+               gate_metrics.c_str(), gate_checks.c_str());
   std::fprintf(json, "}\n");
   std::fclose(json);
   std::printf("# wrote %s\n", json_path.c_str());
 
-  return (speedup >= 5.0 && deterministic && host_ok && scan_identity &&
-          columnar_speedup_ok && quadtree_identity && hier_range_identity)
-             ? 0
-             : 1;
+  return all_checks ? 0 : 1;
 }
 
 }  // namespace

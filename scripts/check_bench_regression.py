@@ -7,39 +7,34 @@ Usage:
         [--baseline bench/baselines/BENCH_engine_throughput.json] \
         [--tolerance 0.60]
 
+What to gate comes from the fresh artifact's `gate` block, written by
+the bench binary next to the numbers it names:
+
+    "gate": {"metrics": ["warm_qps", "ops.quadtree_qps", ...],
+             "checks": ["speedup_ge_5x", ...]}
+
 Checks, in order of how much we trust them on shared hardware:
 
   1. `checks.*` — the bench binary's own pass/fail booleans (speedup,
-     determinism). These are load-independent and must ALL be true in
-     both files; any false is a hard failure at any tolerance.
+     determinism, same-seed identity). These are load-independent: every
+     check in either file must be true, and every check the gate lists
+     must be present in both (a stale artifact predating a section fails
+     loudly instead of passing by omission).
   2. `config` — the fresh run must measure the same workload as the
      baseline (domain, rows, eps, query counts, seed); otherwise the
      QPS comparison is meaningless and the gate fails loudly instead of
      comparing apples to oranges.
-  3. `warm_qps` — the headline throughput. A fresh run below
-     `tolerance * baseline` fails. The default tolerance is 0.60:
-     hosted CI runners are noisy-neighbour machines where 20-30 % swings
-     are routine, so the gate is sized to catch real regressions (a
-     mutex on the hot path, an accidental O(n^2)) while staying quiet
-     about scheduler jitter. Tighten with --tolerance on quiet hardware.
-  4. Columnar scan engine — both artifacts must carry the
-     `columnar_identity` and `columnar_speedup_ge_3x` checks (so a stale
-     pre-columnar artifact fails loudly) plus the `columnar_vs_row` and
-     `shared_scan_vs_per_query` ratios, and the fresh shared-scan
-     throughput (`columnar.shared_qps`) is gated against the baseline at
-     the same tolerance as warm_qps. The >= 3x shared-vs-row floor
-     itself is the bench binary's own check, enforced by step 1.
-  5. Spatial/ordered ops — both artifacts must carry the
-     `quadtree_identity` and `hier_range_identity` checks (a stale
-     artifact predating those ops fails loudly), and the fresh
-     `ops.quadtree_qps` / `ops.hier_range_qps` are gated against the
-     baseline at the same tolerance as warm_qps.
+  3. Each gated metric (a dotted path, e.g. `ops.quadtree_qps`) — a
+     fresh value below `tolerance * baseline` fails. The default
+     tolerance is 0.60: hosted CI runners are noisy-neighbour machines
+     where 20-30 % swings are routine, so the gate is sized to catch real
+     regressions (a mutex on the hot path, an accidental O(n^2)) while
+     staying quiet about scheduler jitter. Tighten with --tolerance on
+     quiet hardware.
 
-cold_qps is reported but never gated: it measures 3 one-shot queries
-dominated by policy-graph setup, where a single page-cache miss moves
-the number by 2x. columnar_vs_row is reported but not floor-gated: the
-per-query kernel matches the row walk byte-for-byte on a full-joint
-workload, so its ratio hovers around 1.0 and is informational.
+Metrics the gate does not list (cold_qps: 3 one-shot queries dominated
+by policy-graph setup, where a single page-cache miss moves the number
+by 2x) are reported by the bench but never gated.
 """
 
 import argparse
@@ -52,9 +47,16 @@ def fail(message):
     sys.exit(1)
 
 
+def lookup(run, path):
+    value = run
+    for key in path.split("."):
+        value = value.get(key) if isinstance(value, dict) else None
+    return value
+
+
 def main():
     parser = argparse.ArgumentParser(
-        description="Gate warm-QPS against the tracked bench baseline.")
+        description="Gate bench throughput against the tracked baseline.")
     parser.add_argument("--fresh", required=True,
                         help="JSON artifact of the run under test")
     parser.add_argument(
@@ -63,7 +65,7 @@ def main():
         help="tracked baseline JSON (default: %(default)s)")
     parser.add_argument(
         "--tolerance", type=float, default=0.60,
-        help="fresh warm_qps must be >= tolerance * baseline "
+        help="each gated metric must be >= tolerance * baseline "
              "(default: %(default)s, sized for noisy hosted runners)")
     args = parser.parse_args()
 
@@ -75,70 +77,44 @@ def main():
     except (OSError, json.JSONDecodeError) as error:
         fail(f"cannot load artifacts: {error}")
 
-    REQUIRED_CHECKS = ("columnar_identity", "columnar_speedup_ge_3x",
-                       "quadtree_identity", "hier_range_identity")
-    REQUIRED_RATIOS = ("columnar_vs_row", "shared_scan_vs_per_query")
+    gate = fresh.get("gate", {})
+    metrics = gate.get("metrics", [])
+    required_checks = gate.get("checks", [])
+    if not metrics or not required_checks:
+        fail("fresh artifact has no gate block listing metrics and checks")
+
     for name, run in (("fresh", fresh), ("baseline", baseline)):
         checks = run.get("checks", {})
-        if not checks:
-            fail(f"{name} artifact has no checks block")
-        missing = [key for key in REQUIRED_CHECKS if key not in checks]
+        missing = [key for key in required_checks if key not in checks]
         if missing:
             fail(f"{name} artifact predates the current bench sections "
                  f"(missing checks: {', '.join(missing)}) — regenerate it")
         bad = [key for key, ok in checks.items() if ok is not True]
         if bad:
             fail(f"{name} run failed its own checks: {', '.join(bad)}")
-        for key in REQUIRED_RATIOS:
-            if not isinstance(run.get(key), (int, float)):
-                fail(f"{name} artifact is missing '{key}' — regenerate it")
 
     if fresh.get("config") != baseline.get("config"):
         fail("workload config drifted from the baseline — regenerate "
              f"the baseline. fresh={fresh.get('config')} "
              f"baseline={baseline.get('config')}")
 
-    fresh_qps = fresh.get("warm_qps")
-    base_qps = baseline.get("warm_qps")
-    if not isinstance(fresh_qps, (int, float)) or not isinstance(
-            base_qps, (int, float)) or base_qps <= 0:
-        fail(f"warm_qps missing or non-positive: fresh={fresh_qps} "
-             f"baseline={base_qps}")
+    reports = []
+    regressed = False
+    for path in metrics:
+        fresh_value = lookup(fresh, path)
+        base_value = lookup(baseline, path)
+        if not isinstance(fresh_value, (int, float)) or not isinstance(
+                base_value, (int, float)) or base_value <= 0:
+            fail(f"{path} missing or non-positive: fresh={fresh_value} "
+                 f"baseline={base_value} — regenerate the baseline")
+        ratio = fresh_value / base_value
+        regressed |= ratio < args.tolerance
+        reports.append(f"{path} {fresh_value:.0f} vs baseline "
+                       f"{base_value:.0f} ({ratio:.2f}x)")
 
-    fresh_shared = fresh.get("columnar", {}).get("shared_qps")
-    base_shared = baseline.get("columnar", {}).get("shared_qps")
-    if not isinstance(fresh_shared, (int, float)) or not isinstance(
-            base_shared, (int, float)) or base_shared <= 0:
-        fail(f"columnar.shared_qps missing or non-positive: "
-             f"fresh={fresh_shared} baseline={base_shared}")
-
-    op_ratios = {}
-    for key in ("quadtree_qps", "hier_range_qps"):
-        fresh_ops = fresh.get("ops", {}).get(key)
-        base_ops = baseline.get("ops", {}).get(key)
-        if not isinstance(fresh_ops, (int, float)) or not isinstance(
-                base_ops, (int, float)) or base_ops <= 0:
-            fail(f"ops.{key} missing or non-positive: "
-                 f"fresh={fresh_ops} baseline={base_ops}")
-        op_ratios[key] = (fresh_ops, base_ops, fresh_ops / base_ops)
-
-    ratio = fresh_qps / base_qps
-    shared_ratio = fresh_shared / base_shared
-    ops_report = "; ".join(
-        f"{key} {f_qps:.0f} vs baseline {b_qps:.0f} ({r:.2f}x, same gate)"
-        for key, (f_qps, b_qps, r) in op_ratios.items())
-    report = (f"warm_qps {fresh_qps:.0f} vs baseline {base_qps:.0f} "
-              f"({ratio:.2f}x, gate {args.tolerance:.2f}x); "
-              f"shared scan {fresh_shared:.0f} vs baseline "
-              f"{base_shared:.0f} ({shared_ratio:.2f}x, same gate); "
-              f"{ops_report}; "
-              f"columnar_vs_row {fresh.get('columnar_vs_row')}, "
-              f"shared_scan_vs_per_query "
-              f"{fresh.get('shared_scan_vs_per_query')}; "
-              f"cold_qps {fresh.get('cold_qps')} "
-              f"(reported, not gated)")
-    if (ratio < args.tolerance or shared_ratio < args.tolerance
-            or any(r < args.tolerance for _, _, r in op_ratios.values())):
+    report = (f"{'; '.join(reports)}; gate {args.tolerance:.2f}x; "
+              f"cold_qps {fresh.get('cold_qps')} (reported, not gated)")
+    if regressed:
         fail(report)
     print(f"BENCH GATE OK: {report}")
 

@@ -1,11 +1,9 @@
 #include "core/dataset.h"
 
-#include <atomic>
 #include <string>
 #include <utility>
 
 #include "data/columnar.h"
-#include "data/scan.h"
 
 namespace blowfish {
 
@@ -34,7 +32,6 @@ StatusOr<Dataset> Dataset::WithTuple(size_t id, ValueIndex value) const {
 }
 
 StatusOr<Histogram> Dataset::CompleteHistogram() const {
-  constexpr uint64_t kMaxMaterializedDomain = uint64_t{1} << 26;
   if (domain_->size() > kMaxMaterializedDomain) {
     return Status::ResourceExhausted(
         "domain too large to materialize a complete histogram");
@@ -47,18 +44,7 @@ StatusOr<Histogram> Dataset::CompleteHistogram() const {
 Histogram Dataset::PartitionedHistogram(
     const std::function<uint64_t(ValueIndex)>& bucket_of,
     size_t num_buckets) const {
-  // Hot-loop fix: one indirect bucket_of call per *domain value* to fill
-  // a lookup table, then a branch-free `h.Add(lut[t])` per tuple —
-  // instead of one std::function dispatch per tuple. Domains too large
-  // to materialize the table keep the per-tuple loop.
-  StatusOr<std::vector<uint32_t>> lut =
-      BuildBucketLut(*domain_, bucket_of, num_buckets);
   Histogram h(num_buckets);
-  if (lut.ok()) {
-    const std::vector<uint32_t>& table = lut.value();
-    for (ValueIndex t : tuples_) h.Add(table[t]);
-    return h;
-  }
   for (ValueIndex t : tuples_) h.Add(bucket_of(t));
   return h;
 }
@@ -71,18 +57,9 @@ std::vector<std::vector<double>> Dataset::Points() const {
 }
 
 StatusOr<std::shared_ptr<const ColumnarTable>> Dataset::columns() const {
-  std::shared_ptr<const ColumnarTable> existing =
-      std::atomic_load_explicit(&columnar_, std::memory_order_acquire);
-  if (existing != nullptr) return existing;
   BLOWFISH_ASSIGN_OR_RETURN(ColumnarTable table,
                             ColumnarTable::FromRows(domain_, tuples_));
-  std::shared_ptr<const ColumnarTable> built =
-      std::make_shared<const ColumnarTable>(std::move(table));
-  std::shared_ptr<const ColumnarTable> expected;
-  if (std::atomic_compare_exchange_strong(&columnar_, &expected, built)) {
-    return built;
-  }
-  return expected;  // a concurrent builder won the race; share its view
+  return std::make_shared<const ColumnarTable>(std::move(table));
 }
 
 }  // namespace blowfish

@@ -41,8 +41,12 @@ class Dataset {
   /// potential neighbour relation.
   StatusOr<Dataset> WithTuple(size_t id, ValueIndex value) const;
 
+  /// Largest domain a complete histogram is materialized for (2^26
+  /// buckets); CompleteHistogram and the engine refuse larger ones.
+  static constexpr uint64_t kMaxMaterializedDomain = uint64_t{1} << 26;
+
   /// The complete histogram h(D): one bucket per domain value. Only valid
-  /// for domains small enough to materialize.
+  /// for domains of at most kMaxMaterializedDomain values.
   StatusOr<Histogram> CompleteHistogram() const;
 
   /// Histogram h_P(D) over an arbitrary bucketing of the domain.
@@ -54,11 +58,8 @@ class Dataset {
   /// the representation k-means clusters.
   std::vector<std::vector<double>> Points() const;
 
-  /// The dictionary-encoded columnar view (data/columnar.h) — the
-  /// representation the engine's scan kernels run on. Built lazily on
-  /// first use and cached (the dataset is immutable, so the view never
-  /// goes stale); concurrent callers race benignly, one build wins.
-  /// Copies made after the build share the view; WithTuple starts fresh.
+  /// A dictionary-encoded columnar copy (data/columnar.h), built on
+  /// each call. Nothing on the serving path reads it.
   StatusOr<std::shared_ptr<const ColumnarTable>> columns() const;
 
  private:
@@ -68,9 +69,6 @@ class Dataset {
 
   std::shared_ptr<const Domain> domain_;
   std::vector<ValueIndex> tuples_;
-  /// Lazily-built columnar view; accessed only via the std::atomic_*
-  /// shared_ptr free functions so Dataset stays copyable.
-  mutable std::shared_ptr<const ColumnarTable> columnar_;
 };
 
 }  // namespace blowfish

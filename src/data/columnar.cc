@@ -84,49 +84,7 @@ StatusOr<ColumnarTable> ColumnarTable::FromRows(
       }
     }
   }
-  return ColumnarTable(std::move(domain), std::move(columns),
-                       std::move(strides), n);
-}
-
-ValueIndex ColumnarTable::RowValue(size_t row) const {
-  ValueIndex value = 0;
-  for (size_t j = 0; j < columns_.size(); ++j) {
-    const Column& c = columns_[j];
-    value += c.dict[c.ids[row]] * strides_[j];
-  }
-  return value;
-}
-
-std::vector<ValueIndex> ColumnarTable::MaterializeRows() const {
-  std::vector<ValueIndex> rows(num_rows_, 0);
-  // Column-at-a-time accumulation: each pass streams one contiguous id
-  // array instead of touching every column per row.
-  for (size_t j = 0; j < columns_.size(); ++j) {
-    const Column& c = columns_[j];
-    const uint64_t stride = strides_[j];
-    for (size_t i = 0; i < num_rows_; ++i) {
-      rows[i] += c.dict[c.ids[i]] * stride;
-    }
-  }
-  return rows;
-}
-
-void RecordDatasetLoadMetrics(const ColumnarTable& table,
-                              double load_seconds,
-                              obs::MetricsRegistry* metrics) {
-  obs::MetricsRegistry* registry =
-      metrics != nullptr ? metrics : obs::MetricsRegistry::Global();
-  registry->GetDoubleCounter("data_load_seconds")->Add(load_seconds);
-  registry->GetGauge("data_rows")->Add(
-      static_cast<int64_t>(table.num_rows()));
-  for (size_t j = 0; j < table.num_columns(); ++j) {
-    obs::Gauge* gauge = registry->GetGauge(
-        "data_column_cardinality{attr=" + table.domain().attribute(j).name +
-        "}");
-    // Set-to-latest: loads are sequential (startup config processing),
-    // so the delta write is not racing another loader.
-    gauge->Add(static_cast<int64_t>(table.cardinality(j)) - gauge->Value());
-  }
+  return ColumnarTable(std::move(domain), std::move(columns), n);
 }
 
 }  // namespace blowfish

@@ -1,36 +1,24 @@
 // Columnar, dictionary-encoded dataset representation.
 //
-// The row-major `Dataset` stores one 8-byte `ValueIndex` per tuple — the
-// flattened cross-product value. Every counting kernel that walks it
-// streams 8 bytes per row and re-derives per-attribute levels with a
-// div/mod chain. `ColumnarTable` is the scan-friendly layout the
-// engine's execute path runs on instead (the `DictionaryCompressor`
-// idiom): at load, each attribute is dictionary-encoded into dense
-// per-attribute value ids —
+// Each attribute of a row-major `Dataset` is dictionary-encoded into
+// dense per-attribute value ids —
 //
-//   * `ids(attr)`   one contiguous `uint32_t` per row: the row's dense
-//                   id within the attribute's observed-value dictionary,
-//   * `dict(attr)`  the sorted dictionary, dense id -> attribute level
-//                   (ascending, so id order IS level order and scatter
-//                   loops visit levels in ascending order),
+//   * `ids(attr)`        one contiguous `uint32_t` per row: the row's
+//                        dense id within the attribute's observed-value
+//                        dictionary,
+//   * `dictionary(attr)` the sorted dictionary, dense id -> attribute
+//                        level (ascending, so id order IS level order),
 //
 // so counting a column is a tight `++counts[ids[i]]` loop over a
-// `uint32_t` array (half the row-major memory traffic, branch-free,
-// SIMD-friendly), with one O(k) scatter through the dictionary at the
-// end. Sparse attributes (cardinality 4357, 100 observed values — the
-// adult capital-loss shape Sec 7.1 exploits) count into k slots, not
-// |A| slots.
+// `uint32_t` array. The serving path does not use it: the engine counts
+// h(D) once per engine with `Dataset::CompleteHistogram`. The table
+// remains for the loopback benchmark's per-layer scan timing
+// (data/scan.h).
 //
-// Invariants, established at construction and relied on by data/scan.h:
+// Invariants, established at construction:
 //   * null-free: every row has a valid dense id in every column
 //     (`FromRows` rejects rows outside the domain);
-//   * dictionaries are sorted and duplicate-free;
-//   * the mapping back to the row-major `ValueIndex` space is O(1) per
-//     column: level = dict[id], value = sum_j dict_j[id_j] * stride_j
-//     (`RowValue`), bit-identical to what `Domain::Encode` produces.
-//
-// The table is immutable after construction and holds a shared_ptr to
-// its domain, so scan kernels can be handed a bare `const ColumnarTable&`.
+//   * dictionaries are sorted and duplicate-free.
 
 #ifndef BLOWFISH_DATA_COLUMNAR_H_
 #define BLOWFISH_DATA_COLUMNAR_H_
@@ -40,7 +28,6 @@
 #include <vector>
 
 #include "core/domain.h"
-#include "obs/metrics.h"
 #include "util/status.h"
 
 namespace blowfish {
@@ -55,7 +42,6 @@ class ColumnarTable {
       const std::vector<ValueIndex>& rows);
 
   const Domain& domain() const { return *domain_; }
-  std::shared_ptr<const Domain> domain_ptr() const { return domain_; }
 
   size_t num_rows() const { return num_rows_; }
   size_t num_columns() const { return columns_.size(); }
@@ -70,26 +56,6 @@ class ColumnarTable {
     return columns_[attr].dict;
   }
 
-  /// Number of *observed* distinct levels in column `attr` (<= the
-  /// attribute's domain cardinality).
-  uint64_t cardinality(size_t attr) const {
-    return columns_[attr].dict.size();
-  }
-
-  /// Level of attribute `attr` in row `row` — O(1), two array loads.
-  uint64_t Level(size_t row, size_t attr) const {
-    const Column& c = columns_[attr];
-    return c.dict[c.ids[row]];
-  }
-
-  /// The row-major ValueIndex of row `row`, recombined from the columns
-  /// (O(1) per column; bit-identical to Domain::Encode of the levels).
-  ValueIndex RowValue(size_t row) const;
-
-  /// Row-major materialization — the decode half of the encode/decode
-  /// round trip; equals the `rows` handed to FromRows, in order.
-  std::vector<ValueIndex> MaterializeRows() const;
-
  private:
   struct Column {
     std::vector<uint32_t> ids;
@@ -97,34 +63,14 @@ class ColumnarTable {
   };
 
   ColumnarTable(std::shared_ptr<const Domain> domain,
-                std::vector<Column> columns,
-                std::vector<uint64_t> strides, size_t num_rows)
+                std::vector<Column> columns, size_t num_rows)
       : domain_(std::move(domain)), columns_(std::move(columns)),
-        strides_(std::move(strides)), num_rows_(num_rows) {}
+        num_rows_(num_rows) {}
 
   std::shared_ptr<const Domain> domain_;
   std::vector<Column> columns_;
-  /// strides_[j] = product of cardinalities of attributes after j — the
-  /// same row-major layout Domain::Encode uses.
-  std::vector<uint64_t> strides_;
   size_t num_rows_ = 0;
 };
-
-/// Dataset-load observability: records the load into `metrics` (nullptr =
-/// the process-wide registry, which is what the STATS wire verb and the
-/// daemon's SIGUSR1 Prometheus dump serve):
-///
-///   data_load_seconds                   cumulative seconds spent loading
-///   data_rows                           cumulative rows loaded (gauge)
-///   data_column_cardinality{attr=NAME}  observed distinct levels of the
-///                                       most recently loaded column with
-///                                       that attribute name
-///
-/// Loads happen sequentially at startup (config parsing / tenant
-/// construction), so the set-to-latest cardinality semantics are stable.
-void RecordDatasetLoadMetrics(const ColumnarTable& table,
-                              double load_seconds,
-                              obs::MetricsRegistry* metrics = nullptr);
 
 }  // namespace blowfish
 

@@ -4,8 +4,7 @@
 #include <cmath>
 #include <fstream>
 #include <sstream>
-
-#include "data/columnar.h"
+#include <unordered_set>
 
 namespace blowfish {
 
@@ -28,6 +27,33 @@ StatusOr<double> ParseCell(const std::string& cell) {
     return Status::InvalidArgument("non-numeric cell: '" + cell + "'");
   }
 }
+
+/// The distinct levels seen in one column: a bitmap over the
+/// attribute's levels, or a hash set for attributes too wide to index.
+class LevelSet {
+ public:
+  explicit LevelSet(uint64_t cardinality) {
+    if (cardinality <= Dataset::kMaxMaterializedDomain) {
+      seen_.resize(cardinality);
+    }
+  }
+
+  void Insert(uint64_t level) {
+    if (seen_.empty()) {
+      wide_.insert(level);
+    } else if (!seen_[level]) {
+      seen_[level] = true;
+      ++count_;
+    }
+  }
+
+  uint64_t size() const { return seen_.empty() ? wide_.size() : count_; }
+
+ private:
+  std::vector<bool> seen_;
+  uint64_t count_ = 0;
+  std::unordered_set<uint64_t> wide_;
+};
 
 }  // namespace
 
@@ -52,6 +78,11 @@ StatusOr<Dataset> LoadCsv(const std::string& text,
   auto domain = std::make_shared<const Domain>(std::move(domain_v));
 
   std::vector<ValueIndex> tuples;
+  std::vector<LevelSet> levels;
+  levels.reserve(columns.size());
+  for (const CsvColumnSpec& c : columns) {
+    levels.emplace_back(c.attribute.cardinality);
+  }
   std::istringstream in(text);
   std::string line;
   bool first = true;
@@ -96,24 +127,26 @@ StatusOr<Dataset> LoadCsv(const std::string& text,
       coords[i] = static_cast<uint64_t>(level);
     }
     if (bad) continue;
+    for (size_t i = 0; i < columns.size(); ++i) levels[i].Insert(coords[i]);
     tuples.push_back(domain->Encode(coords));
   }
+  const size_t rows = tuples.size();
   BLOWFISH_ASSIGN_OR_RETURN(Dataset data,
                             Dataset::Create(domain, std::move(tuples)));
-  if (options.record_load_metrics) {
-    // columns() both builds the observability payload (per-attribute
-    // cardinalities) and warms the dataset's cached columnar encoding,
-    // moving that cost from first-batch latency to load time. The load
-    // itself still succeeds for datasets the encoder refuses (those can
-    // only ever be served row-major anyway).
-    auto encoded = data.columns();
-    if (encoded.ok()) {
-      const double seconds =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        load_start)
-              .count();
-      RecordDatasetLoadMetrics(**encoded, seconds, options.metrics);
-    }
+  obs::MetricsRegistry* registry = options.metrics != nullptr
+                                       ? options.metrics
+                                       : obs::MetricsRegistry::Global();
+  registry->GetDoubleCounter("data_load_seconds")
+      ->Add(std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                          load_start)
+                .count());
+  registry->GetGauge("data_rows")->Add(static_cast<int64_t>(rows));
+  for (size_t i = 0; i < columns.size(); ++i) {
+    obs::Gauge* gauge = registry->GetGauge(
+        "data_column_cardinality{attr=" + columns[i].attribute.name + "}");
+    // Set-to-latest: loads are sequential, so the delta write does not
+    // race another loader.
+    gauge->Add(static_cast<int64_t>(levels[i].size()) - gauge->Value());
   }
   return data;
 }

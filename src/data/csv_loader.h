@@ -40,18 +40,23 @@ struct CsvOptions {
   /// Rows with non-numeric cells in the selected columns are skipped when
   /// true, and cause an error when false.
   bool skip_bad_rows = true;
-  /// Record load observability (data_load_seconds, data_rows,
-  /// data_column_cardinality{attr=...} — data/columnar.h) after a
-  /// successful load. Recording forces the dataset's columnar encoding,
-  /// so tenants pay that cost at startup instead of at first batch.
-  bool record_load_metrics = true;
   /// Registry the load metrics report into; nullptr = the process-wide
   /// default (what the STATS verb and SIGUSR1 Prometheus dump serve).
   obs::MetricsRegistry* metrics = nullptr;
 };
 
 /// Parses CSV text into a dataset over the cross product of the selected
-/// columns' attributes.
+/// columns' attributes. A successful load records, into
+/// `options.metrics`:
+///
+///   data_load_seconds                   cumulative seconds spent loading
+///   data_rows                           cumulative rows loaded (gauge)
+///   data_column_cardinality{attr=NAME}  observed distinct levels of the
+///                                       most recently loaded column with
+///                                       that attribute name
+///
+/// Loads happen sequentially at startup (config parsing / tenant
+/// construction), so the set-to-latest cardinality is stable.
 StatusOr<Dataset> LoadCsv(const std::string& text,
                           const std::vector<CsvColumnSpec>& columns,
                           const CsvOptions& options = {});

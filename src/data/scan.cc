@@ -1,14 +1,13 @@
 #include "data/scan.h"
 
-#include <string>
+#include <cstdint>
+#include <vector>
+
+#include "core/dataset.h"
 
 namespace blowfish {
 
 namespace {
-
-/// Same cap as Dataset::CompleteHistogram — the two paths must refuse
-/// the same domains with the same status.
-constexpr uint64_t kMaxMaterializedDomain = uint64_t{1} << 26;
 
 /// Per-column ValueIndex contributions: contrib[id] = dict[id] * stride.
 /// k-sized, so the per-row reassembly is one uint32 load + one lookup
@@ -31,11 +30,22 @@ uint64_t StrideOf(const Domain& domain, size_t attr) {
   return stride;
 }
 
+/// Dense per-id counts of one column: counts[id] = rows with dense id
+/// `id`.
+std::vector<uint64_t> ScanColumnCounts(const ColumnarTable& table,
+                                       size_t attr) {
+  std::vector<uint64_t> counts(table.dictionary(attr).size(), 0);
+  const uint32_t* ids = table.ids(attr).data();
+  const size_t n = table.num_rows();
+  for (size_t i = 0; i < n; ++i) ++counts[ids[i]];
+  return counts;
+}
+
 }  // namespace
 
 StatusOr<Histogram> ScanCompleteHistogram(const ColumnarTable& table) {
   const Domain& domain = table.domain();
-  if (domain.size() > kMaxMaterializedDomain) {
+  if (domain.size() > Dataset::kMaxMaterializedDomain) {
     return Status::ResourceExhausted(
         "domain too large to materialize a complete histogram");
   }
@@ -76,79 +86,6 @@ StatusOr<Histogram> ScanCompleteHistogram(const ColumnarTable& table) {
   }
   for (uint64_t v : values) h.Add(v);
   return h;
-}
-
-std::vector<uint64_t> ScanColumnCounts(const ColumnarTable& table,
-                                       size_t attr) {
-  std::vector<uint64_t> counts(table.cardinality(attr), 0);
-  const uint32_t* ids = table.ids(attr).data();
-  const size_t n = table.num_rows();
-  for (size_t i = 0; i < n; ++i) ++counts[ids[i]];
-  return counts;
-}
-
-Histogram ScanAttributeHistogram(const ColumnarTable& table, size_t attr) {
-  Histogram h(table.domain().attribute(attr).cardinality);
-  const std::vector<uint64_t> counts = ScanColumnCounts(table, attr);
-  const std::vector<uint64_t>& dict = table.dictionary(attr);
-  for (size_t id = 0; id < counts.size(); ++id) {
-    h[dict[id]] = static_cast<double>(counts[id]);
-  }
-  return h;
-}
-
-StatusOr<std::vector<uint32_t>> BuildBucketLut(
-    const Domain& domain,
-    const std::function<uint64_t(ValueIndex)>& bucket_of,
-    size_t num_buckets) {
-  if (domain.size() > kMaxMaterializedDomain) {
-    return Status::ResourceExhausted(
-        "domain too large to materialize a bucket lookup table");
-  }
-  std::vector<uint32_t> lut(domain.size());
-  for (uint64_t v = 0; v < domain.size(); ++v) {
-    const uint64_t bucket = bucket_of(v);
-    if (bucket >= num_buckets) {
-      return Status::InvalidArgument(
-          "bucket_of(" + std::to_string(v) + ") = " +
-          std::to_string(bucket) + " out of range for " +
-          std::to_string(num_buckets) + " buckets");
-    }
-    lut[v] = static_cast<uint32_t>(bucket);
-  }
-  return lut;
-}
-
-Histogram ScanPartitionedHistogram(const ColumnarTable& table,
-                                   const std::vector<uint32_t>& bucket_lut,
-                                   size_t num_buckets) {
-  Histogram h(num_buckets);
-  const size_t n = table.num_rows();
-  if (table.num_columns() == 1) {
-    const std::vector<uint64_t>& dict = table.dictionary(0);
-    const uint32_t* ids = table.ids(0).data();
-    for (size_t i = 0; i < n; ++i) h.Add(bucket_lut[dict[ids[i]]]);
-    return h;
-  }
-  const std::vector<ValueIndex> rows = table.MaterializeRows();
-  for (ValueIndex v : rows) h.Add(bucket_lut[v]);
-  return h;
-}
-
-std::vector<double> RestrictedCounts(
-    const Histogram& h, const std::vector<ValueIndex>& included) {
-  std::vector<double> out;
-  out.reserve(included.size());
-  for (ValueIndex v : included) out.push_back(h[v]);
-  return out;
-}
-
-double ValueWeightedSum(const Histogram& h, double scale) {
-  double sum = 0.0;
-  for (size_t x = 0; x < h.size(); ++x) {
-    sum += static_cast<double>(x) * scale * h[x];
-  }
-  return sum;
 }
 
 }  // namespace blowfish

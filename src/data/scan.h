@@ -1,28 +1,12 @@
-// Counting kernels over the columnar representation (and the histogram
-// reductions the ops share).
+// The complete histogram h(D) counted from a columnar table.
 //
-// This is the hot layer the ISSUE's refactor carves out: every counting
-// loop the engine runs — complete histogram, per-attribute marginals,
-// partitioned histograms, cell-restricted payloads, mean's
-// value-weighted sum — lives here as a tight loop over contiguous
-// `uint32_t` value-id arrays (data/columnar.h) or over a materialized
-// `Histogram`, instead of being re-derived inline by each op.
-//
-// Determinism contract: each kernel is bit-identical to the row-major
-// reference it replaces. Counts are integers below 2^32 (ColumnarTable
-// guarantees < 2^32 rows), hence exact in doubles; accumulation orders
-// match the reference loops exactly where floating-point addition is
-// order-sensitive (ValueWeightedSum walks buckets ascending, the order
-// `mean` has always used).
+// Not on the serving path: the engine counts h(D) once per engine with
+// `Dataset::CompleteHistogram`. This kernel remains for the loopback
+// benchmark's per-layer scan timing.
 
 #ifndef BLOWFISH_DATA_SCAN_H_
 #define BLOWFISH_DATA_SCAN_H_
 
-#include <cstdint>
-#include <functional>
-#include <vector>
-
-#include "core/domain.h"
 #include "data/columnar.h"
 #include "util/histogram.h"
 #include "util/status.h"
@@ -33,44 +17,6 @@ namespace blowfish {
 /// `Dataset::CompleteHistogram`, including the refusal (same status,
 /// same message) for domains too large to materialize.
 StatusOr<Histogram> ScanCompleteHistogram(const ColumnarTable& table);
-
-/// Dense per-id counts of one column: counts[id] = number of rows whose
-/// dense value id is `id` (size = observed cardinality). The innermost
-/// kernel — one `++counts[ids[i]]` per row over a contiguous uint32
-/// array.
-std::vector<uint64_t> ScanColumnCounts(const ColumnarTable& table,
-                                       size_t attr);
-
-/// Marginal histogram of one attribute over its full domain cardinality:
-/// ScanColumnCounts scattered through the sorted dictionary.
-Histogram ScanAttributeHistogram(const ColumnarTable& table, size_t attr);
-
-/// Precomputed bucket lookup table over the whole domain: lut[value] =
-/// bucket_of(value). One indirect call per *domain value*, once, instead
-/// of one per tuple per query (the Dataset::PartitionedHistogram fix).
-/// Fails ResourceExhausted for domains too large to materialize the
-/// table and InvalidArgument if any bucket is out of range.
-StatusOr<std::vector<uint32_t>> BuildBucketLut(
-    const Domain& domain,
-    const std::function<uint64_t(ValueIndex)>& bucket_of,
-    size_t num_buckets);
-
-/// Partitioned histogram h_P from columns via a bucket lookup table.
-/// Bit-identical to the row-major loop `h.Add(bucket_of(t))`.
-Histogram ScanPartitionedHistogram(const ColumnarTable& table,
-                                   const std::vector<uint32_t>& bucket_lut,
-                                   size_t num_buckets);
-
-/// The cell-restricted histogram payload: h[included[0]], h[included[1]],
-/// ... in order (the row layout of CellRestrictedHistogramQuery). A
-/// gather, not a scan — the complete histogram already holds the counts.
-std::vector<double> RestrictedCounts(const Histogram& h,
-                                     const std::vector<ValueIndex>& included);
-
-/// Mean's numerator: sum_x (x * scale) * h[x], buckets ascending — the
-/// exact accumulation order (and therefore bit pattern) of the original
-/// per-op loop.
-double ValueWeightedSum(const Histogram& h, double scale);
 
 }  // namespace blowfish
 

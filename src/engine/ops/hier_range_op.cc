@@ -108,12 +108,6 @@ class HierRangeOp final : public QueryOp {
     return CumulativeHistogramSensitivity(policy);
   }
 
-  ScanSpec Scan() const override {
-    // The OH structure is built from the (1-D) complete histogram: the
-    // op rides the batch's shared scan with the ordered family.
-    return ScanSpec{};
-  }
-
   StatusOr<std::vector<double>> Execute(const QueryExecContext& ctx,
                                         Random rng) const override {
     if (ctx.sensitivity == 0.0) {

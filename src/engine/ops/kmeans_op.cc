@@ -87,14 +87,9 @@ class KMeansOp final : public QueryOp {
     return std::max(q_sum, QSizeSensitivity(policy.graph()));
   }
 
-  ScanSpec Scan() const override {
-    // K-means clusters embedded points, not histogram counts: it needs
-    // the rows (ctx.data) and never reads ctx.hist, so the engine's
-    // shared scan skips it entirely.
-    ScanSpec spec;
-    spec.needs_histogram = false;
-    spec.needs_rows = true;
-    return spec;
+  bool NeedsHistogram() const override {
+    // K-means clusters embedded points (ctx.data), not histogram counts.
+    return false;
   }
 
   StatusOr<std::vector<double>> Execute(const QueryExecContext& ctx,

@@ -94,8 +94,6 @@ double QueryOp::Charge(double sensitivity, double epsilon) const {
   return sensitivity == 0.0 ? 0.0 : epsilon;
 }
 
-ScanSpec QueryOp::Scan() const { return ScanSpec{}; }
-
 StatusOr<std::vector<uint64_t>> QueryOp::ParallelCells() const {
   return Status::FailedPrecondition(
       "kind '" + KindName() +

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/constraints.h"
+#include "core/secret_graph.h"
 #include "util/atomic_file.h"
 #include "util/parse.h"
 
@@ -18,6 +19,42 @@ constexpr char kCacheFileHeader[] = "# blowfish-sensitivity-cache v1";
 std::string MakeKey(const std::string& policy_fp,
                     const std::string& query_shape) {
   return policy_fp + "\x1f" + query_shape;
+}
+
+/// FNV-1a, 64-bit.
+class Fnv1a {
+ public:
+  void Byte(uint8_t b) { h_ = (h_ ^ b) * 1099511628211ull; }
+  void U64(uint64_t v) {
+    for (int i = 0; i < 8; ++i) Byte(static_cast<uint8_t>(v >> (8 * i)));
+  }
+  uint64_t value() const { return h_; }
+
+ private:
+  uint64_t h_ = 14695981039346656037ull;
+};
+
+/// Hash of the secret graph's content beyond its name, "" for graphs the
+/// name and the domain already determine.
+std::string GraphContentHash(const SecretGraph& graph) {
+  Fnv1a h;
+  if (const auto* partition = dynamic_cast<const PartitionGraph*>(&graph)) {
+    for (ValueIndex x = 0; x < graph.num_vertices(); ++x) {
+      h.U64(partition->CellOf(x));
+    }
+  } else if (const auto* explicit_graph =
+                 dynamic_cast<const ExplicitGraph*>(&graph)) {
+    for (ValueIndex x = 0; x < graph.num_vertices(); ++x) {
+      const std::vector<ValueIndex>& neighbors = explicit_graph->Neighbors(x);
+      h.U64(neighbors.size());
+      for (ValueIndex y : neighbors) h.U64(y);
+    }
+  } else {
+    return "";
+  }
+  std::ostringstream out;
+  out << "#" << std::hex << h.value();
+  return out.str();
 }
 
 }  // namespace
@@ -179,14 +216,14 @@ Status SensitivityCache::LoadFromFile(const std::string& path) {
   return Load(file);
 }
 
-std::string SensitivityCache::PolicyFingerprint(const Policy& policy,
-                                                const std::string& tag) {
+std::string SensitivityCache::PolicyFingerprint(const Policy& policy) {
   std::ostringstream out;
   out << "T{";
   for (const Attribute& a : policy.domain().attributes()) {
     out << a.name << ":" << a.cardinality << ":" << a.scale << ";";
   }
-  out << "}G{" << policy.graph().name() << "}Q{"
+  out << "}G{" << policy.graph().name() << GraphContentHash(policy.graph())
+      << "}Q{"
       << policy.constraints().size();
   for (const Rectangle& r : policy.constraints().rectangles()) {
     out << "[";
@@ -206,21 +243,26 @@ std::string SensitivityCache::PolicyFingerprint(const Policy& policy,
     // the weighted policy-graph analysis classifies moves against
     // pinned queries only, so the pinned and unpinned variants of one
     // constraint set have different sensitivities and must not share an
-    // entry. Hashed rather than inlined to keep keys serializable (Save
+    // entry. A pinned query's predicate is folded in too, value by
+    // value: two constraints may share a name and not a meaning.
+    // Hashed rather than inlined to keep keys serializable (Save
     // rejects tabs/newlines) and bounded in length.
-    uint64_t h = 14695981039346656037ull;
-    for (size_t i = 0; i < policy.constraints().size(); ++i) {
-      for (char c : policy.constraints().query(i).name()) {
-        h = (h ^ static_cast<unsigned char>(c)) * 1099511628211ull;
+    const ConstraintSet& constraints = policy.constraints();
+    Fnv1a h;
+    for (size_t i = 0; i < constraints.size(); ++i) {
+      for (char c : constraints.query(i).name()) {
+        h.Byte(static_cast<uint8_t>(c));
       }
-      h = (h ^ (policy.constraints().pinned(i) ? uint64_t{0x70}
-                                               : uint64_t{0x75})) *
-          1099511628211ull;  // pinned marker
-      h = (h ^ uint64_t{0x1f}) * 1099511628211ull;  // name separator
+      h.Byte(constraints.pinned(i) ? 0x70 : 0x75);  // pinned marker
+      if (constraints.pinned(i)) {
+        for (ValueIndex x = 0; x < policy.domain().size(); ++x) {
+          h.Byte(constraints.query(i).Matches(x) ? 1 : 0);
+        }
+      }
+      h.Byte(0x1f);  // query separator
     }
-    out << "C{" << std::hex << h << "}";
+    out << "C{" << std::hex << h.value() << "}";
   }
-  if (!tag.empty()) out << "#" << tag;
   return out.str();
 }
 

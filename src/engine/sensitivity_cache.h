@@ -99,16 +99,15 @@ class SensitivityCache {
   /// A stable fingerprint of the policy for use as a cache key: domain
   /// attributes (name/cardinality/scale), secret-graph name, and the
   /// constraint signature (count, rectangle coordinates, and a hash of
-  /// the count-query names and per-query pinned-ness — marginals and
-  /// rectangles get structured names from their ConstraintSet builders,
-  /// so constrained and unconstrained variants of one query shape,
-  /// distinct marginals of equal size, and pinned vs unpinned variants
-  /// of one constraint set all occupy distinct entries). Policies whose
-  /// constraints differ only in opaque predicates behind *identical
-  /// names* still hash alike — pass a distinguishing `tag` in that
-  /// case.
-  static std::string PolicyFingerprint(const Policy& policy,
-                                       const std::string& tag = "");
+  /// the count-query names and per-query pinned-ness). Names alone do
+  /// not identify content — a UniformGrid partition is named by its
+  /// cell count, and constraint predicates are opaque — so the key also
+  /// folds in a hash of what the names stand for: CellOf(x) over the
+  /// domain for a partition graph, the adjacency lists of an explicit
+  /// graph, and Matches(x) over the domain for each pinned count query.
+  /// O(|T|) per partition or pinned query; the engine computes it once,
+  /// at construction.
+  static std::string PolicyFingerprint(const Policy& policy);
 
  private:
   using Entry = std::pair<std::string, double>;  // (key, sensitivity)

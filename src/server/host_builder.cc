@@ -66,12 +66,6 @@ StatusOr<std::unique_ptr<EngineHost>> BuildHostFromConfig(
     TenantOptions tenant_options;
     tenant_options.default_session_budget = tenant.budget;
     tenant_options.root_seed = tenant.seed;
-    // The parser already rejected anything else.
-    tenant_options.scan_mode = tenant.scan_mode == "row"
-                                   ? ScanMode::kRowMajor
-                                   : tenant.scan_mode == "columnar"
-                                         ? ScanMode::kPerQueryColumnar
-                                         : ScanMode::kSharedColumnar;
     BLOWFISH_RETURN_IF_ERROR(
         host->AddTenant(tenant.policy_file, tenant.name,
                         std::move(loaded.first), std::move(loaded.second),

@@ -100,14 +100,6 @@ Status ApplyTenantKey(const std::string& key, const std::string& value,
     tenant->ledger_file = value;
     return Status::OK();
   }
-  if (key == "scan") {
-    if (value != "shared" && value != "columnar" && value != "row") {
-      return Status::InvalidArgument(
-          "expected shared|columnar|row for " + context);
-    }
-    tenant->scan_mode = value;
-    return Status::OK();
-  }
   if (key == "session") {
     // `session = name : budget`
     const size_t colon = value.find(':');

@@ -21,7 +21,6 @@
 //   requests = census_reqs.txt   # batch file served by `serve`
 //   ledger = census.ledger       # optional: persist budget spend
 //   session = alice : 2.5        # open a named session (repeatable)
-//   scan = shared                # dataset scan mode: shared|columnar|row
 
 #ifndef BLOWFISH_SERVER_SERVE_CONFIG_H_
 #define BLOWFISH_SERVER_SERVE_CONFIG_H_
@@ -52,13 +51,6 @@ struct TenantConfig {
   std::string ledger_file;
   /// (session name, budget) pairs to open before serving.
   std::vector<std::pair<std::string, double>> sessions;
-  /// Dataset scan mode, one of "shared" (batch-amortized shared
-  /// columnar scan, the default), "columnar" (per-query columnar
-  /// kernels), "row" (per-query row-major walk). Served bytes are
-  /// bit-identical across modes; the non-default values exist for
-  /// benchmarking and equivalence testing. Mapped onto
-  /// engine/release_engine.h ScanMode by host_builder.cc.
-  std::string scan_mode = "shared";
 };
 
 struct ServeConfig {

@@ -1,9 +1,8 @@
 // Columnar dictionary-encoded representation (data/columnar.h) and its
-// scan kernels (data/scan.h): encode -> decode round trips over seeded
-// random datasets, the dictionary invariants (sorted, duplicate-free,
-// observed cardinality), bit-exact agreement of every kernel with its
-// row-major reference loop, the bucket-LUT error paths, the dataset's
-// cached columnar view semantics, and the load-observability metrics.
+// complete-histogram kernel (data/scan.h): every id decodes to its row's
+// level over seeded random datasets, the dictionary invariants (sorted,
+// duplicate-free, observed levels only), and bit-exact agreement of the
+// kernel with the row-major Dataset::CompleteHistogram.
 
 #include <gtest/gtest.h>
 
@@ -17,9 +16,7 @@
 #include "core/dataset.h"
 #include "core/domain.h"
 #include "data/columnar.h"
-#include "data/csv_loader.h"
 #include "data/scan.h"
-#include "obs/metrics.h"
 #include "util/random.h"
 
 namespace blowfish {
@@ -63,14 +60,10 @@ TEST(ColumnarTest, EncodeDecodeRoundTripProperty) {
       ASSERT_TRUE(table.ok()) << table.status().ToString();
       ASSERT_EQ(table->num_rows(), rows.size());
       ASSERT_EQ(table->num_columns(), domain->num_attributes());
-      // Decode half: MaterializeRows reproduces the input exactly, in
-      // order, and so does the per-row O(1) recombination.
-      EXPECT_EQ(table->MaterializeRows(), rows);
       for (size_t i = 0; i < rows.size(); ++i) {
-        ASSERT_EQ(table->RowValue(i), rows[i]) << "row " << i;
         const std::vector<uint64_t> coords = domain->Decode(rows[i]);
         for (size_t j = 0; j < coords.size(); ++j) {
-          ASSERT_EQ(table->Level(i, j), coords[j])
+          ASSERT_EQ(table->dictionary(j)[table->ids(j)[i]], coords[j])
               << "row " << i << " attr " << j;
         }
       }
@@ -90,7 +83,6 @@ TEST(ColumnarTest, DictionariesSortedUniqueWithObservedCardinality) {
   ASSERT_TRUE(table.ok()) << table.status().ToString();
 
   const std::set<uint64_t> observed(levels.begin(), levels.end());
-  EXPECT_EQ(table->cardinality(0), observed.size());
   const std::vector<uint64_t>& dict = table->dictionary(0);
   EXPECT_EQ(std::vector<uint64_t>(observed.begin(), observed.end()), dict);
   EXPECT_TRUE(std::is_sorted(dict.begin(), dict.end()));
@@ -105,9 +97,8 @@ TEST(ColumnarTest, EmptyDatasetEncodes) {
   auto table = ColumnarTable::FromRows(domain, {});
   ASSERT_TRUE(table.ok()) << table.status().ToString();
   EXPECT_EQ(table->num_rows(), 0u);
-  EXPECT_EQ(table->cardinality(0), 0u);
-  EXPECT_EQ(table->cardinality(1), 0u);
-  EXPECT_TRUE(table->MaterializeRows().empty());
+  EXPECT_TRUE(table->dictionary(0).empty());
+  EXPECT_TRUE(table->dictionary(1).empty());
   auto hist = ScanCompleteHistogram(*table);
   ASSERT_TRUE(hist.ok());
   EXPECT_DOUBLE_EQ(hist->Total(), 0.0);
@@ -140,154 +131,6 @@ TEST(ColumnarTest, ScanCompleteHistogramBitIdenticalToRowMajor) {
       EXPECT_EQ(scanned->counts(), reference->counts());
     }
   }
-}
-
-TEST(ColumnarTest, AttributeHistogramMatchesDecodedMarginal) {
-  auto domain =
-      MakeDomain({Attribute{"a", 6, 1.0}, Attribute{"b", 9, 1.0}});
-  Dataset data =
-      Dataset::Create(domain, RandomRows(*domain, 400, 5)).value();
-  auto columns = data.columns();
-  ASSERT_TRUE(columns.ok());
-  for (size_t attr = 0; attr < domain->num_attributes(); ++attr) {
-    Histogram expected(domain->attribute(attr).cardinality);
-    for (ValueIndex t : data.tuples()) {
-      expected.Add(domain->Decode(t)[attr]);
-    }
-    const Histogram marginal = ScanAttributeHistogram(**columns, attr);
-    EXPECT_EQ(marginal.counts(), expected.counts()) << "attr " << attr;
-
-    // ScanColumnCounts is the dense core of the marginal: scattering it
-    // through the dictionary must give the same histogram.
-    const std::vector<uint64_t> counts = ScanColumnCounts(**columns, attr);
-    ASSERT_EQ(counts.size(), (*columns)->cardinality(attr));
-    Histogram scattered(domain->attribute(attr).cardinality);
-    for (size_t id = 0; id < counts.size(); ++id) {
-      scattered.Add((*columns)->dictionary(attr)[id],
-                    static_cast<double>(counts[id]));
-    }
-    EXPECT_EQ(scattered.counts(), expected.counts()) << "attr " << attr;
-  }
-}
-
-TEST(ColumnarTest, PartitionedHistogramLutMatchesPerTupleLoop) {
-  auto domain = MakeDomain({Attribute{"x", 32, 1.0}});
-  Dataset data =
-      Dataset::Create(domain, RandomRows(*domain, 600, 23)).value();
-  const auto bucket_of = [](ValueIndex x) { return x / 5; };
-  constexpr size_t kBuckets = 7;
-
-  Histogram expected(kBuckets);
-  for (ValueIndex t : data.tuples()) expected.Add(bucket_of(t));
-
-  // Dataset::PartitionedHistogram now goes through the LUT internally.
-  const Histogram via_dataset =
-      data.PartitionedHistogram(bucket_of, kBuckets);
-  EXPECT_EQ(via_dataset.counts(), expected.counts());
-
-  // And the columnar kernel agrees with both.
-  auto lut = BuildBucketLut(*domain, bucket_of, kBuckets);
-  ASSERT_TRUE(lut.ok()) << lut.status().ToString();
-  auto columns = data.columns();
-  ASSERT_TRUE(columns.ok());
-  const Histogram via_scan =
-      ScanPartitionedHistogram(**columns, *lut, kBuckets);
-  EXPECT_EQ(via_scan.counts(), expected.counts());
-}
-
-TEST(ColumnarTest, BuildBucketLutRejectsBadInputs) {
-  auto small = MakeDomain({Attribute{"x", 8, 1.0}});
-  // A bucket function that escapes [0, num_buckets) is a caller bug and
-  // must be refused, not silently counted out of bounds.
-  auto bad = BuildBucketLut(*small, [](ValueIndex x) { return x; }, 4);
-  ASSERT_FALSE(bad.ok());
-  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
-
-  // A domain too large to materialize the table is refused up front,
-  // with the same ResourceExhausted class the complete histogram uses.
-  auto huge_domain = Domain::Line((uint64_t{1} << 26) + 1);
-  ASSERT_TRUE(huge_domain.ok());
-  auto huge = BuildBucketLut(*huge_domain, [](ValueIndex) { return 0; }, 1);
-  ASSERT_FALSE(huge.ok());
-  EXPECT_EQ(huge.status().code(), StatusCode::kResourceExhausted);
-}
-
-TEST(ColumnarTest, RestrictedCountsAndValueWeightedSum) {
-  Histogram h(std::vector<double>{5.0, 0.0, 2.0, 7.0});
-  EXPECT_EQ(RestrictedCounts(h, {3, 0}), (std::vector<double>{7.0, 5.0}));
-  EXPECT_TRUE(RestrictedCounts(h, {}).empty());
-
-  // Reference loop, buckets ascending — must match bit-for-bit.
-  const double scale = 0.25;
-  double expected = 0.0;
-  for (size_t x = 0; x < h.size(); ++x) {
-    expected += static_cast<double>(x) * scale * h[x];
-  }
-  EXPECT_EQ(ValueWeightedSum(h, scale), expected);
-}
-
-TEST(ColumnarTest, DatasetColumnsViewIsCachedAndSharedByCopies) {
-  auto domain = MakeDomain({Attribute{"x", 16, 1.0}});
-  Dataset data =
-      Dataset::Create(domain, RandomRows(*domain, 50, 9)).value();
-  auto first = data.columns();
-  ASSERT_TRUE(first.ok());
-  auto second = data.columns();
-  ASSERT_TRUE(second.ok());
-  EXPECT_EQ(first->get(), second->get()) << "second call must hit the cache";
-
-  // Copies made after the build share the immutable view...
-  Dataset copy = data;
-  auto copied = copy.columns();
-  ASSERT_TRUE(copied.ok());
-  EXPECT_EQ(copied->get(), first->get());
-
-  // ...but a mutated derivative must not: WithTuple starts fresh.
-  Dataset moved = data.WithTuple(0, 15).value();
-  auto rebuilt = moved.columns();
-  ASSERT_TRUE(rebuilt.ok());
-  EXPECT_NE(rebuilt->get(), first->get());
-  EXPECT_EQ((*rebuilt)->MaterializeRows(), moved.tuples());
-}
-
-TEST(ColumnarTest, RecordDatasetLoadMetricsAccumulatesAndSetsCardinality) {
-  auto domain =
-      MakeDomain({Attribute{"age", 16, 1.0}, Attribute{"hours", 8, 1.0}});
-  auto table =
-      ColumnarTable::FromRows(domain, RandomRows(*domain, 100, 31));
-  ASSERT_TRUE(table.ok());
-
-  obs::MetricsRegistry registry;
-  RecordDatasetLoadMetrics(*table, 0.5, &registry);
-  RecordDatasetLoadMetrics(*table, 0.25, &registry);
-  // Seconds and rows accumulate across loads; per-attribute cardinality
-  // is set-to-latest (a second load of 100 rows must not double it).
-  EXPECT_DOUBLE_EQ(registry.GetDoubleCounter("data_load_seconds")->Value(),
-                   0.75);
-  EXPECT_EQ(registry.GetGauge("data_rows")->Value(), 200);
-  EXPECT_EQ(
-      registry.GetGauge("data_column_cardinality{attr=age}")->Value(),
-      static_cast<int64_t>(table->cardinality(0)));
-  EXPECT_EQ(
-      registry.GetGauge("data_column_cardinality{attr=hours}")->Value(),
-      static_cast<int64_t>(table->cardinality(1)));
-}
-
-TEST(ColumnarTest, CsvLoaderRecordsLoadMetrics) {
-  constexpr char kCsv[] = "age\n3\n3\n7\n1\n";
-  CsvColumnSpec spec;
-  spec.column = 0;
-  spec.attribute = Attribute{"age", 10, 1.0};
-  obs::MetricsRegistry registry;
-  CsvOptions options;
-  options.metrics = &registry;
-  auto data = LoadCsv(kCsv, {spec}, options);
-  ASSERT_TRUE(data.ok()) << data.status().ToString();
-  EXPECT_EQ(data->size(), 4u);
-  EXPECT_EQ(registry.GetGauge("data_rows")->Value(), 4);
-  EXPECT_EQ(registry.GetGauge("data_column_cardinality{attr=age}")->Value(),
-            3);
-  EXPECT_GT(registry.GetDoubleCounter("data_load_seconds")->Value(), 0.0);
 }
 
 }  // namespace

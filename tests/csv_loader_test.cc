@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <fstream>
 
+#include "obs/metrics.h"
+
 namespace blowfish {
 namespace {
 
@@ -108,6 +110,45 @@ TEST(CsvLoaderTest, LoadsFromFile) {
   EXPECT_EQ(d.tuple(1), 200u);
   std::remove(path);
   EXPECT_FALSE(LoadCsvFile("/nonexistent/file.csv", {LossColumn()}).ok());
+}
+
+TEST(CsvLoaderTest, RecordsLoadMetrics) {
+  // Seconds and rows accumulate across loads; each attribute's
+  // cardinality gauge takes the latest load's observed distinct levels.
+  CsvColumnSpec age;
+  age.column = 0;
+  age.attribute = Attribute{"age", 10, 1.0};
+  CsvColumnSpec hours;
+  hours.column = 1;
+  hours.attribute = Attribute{"hours", 8, 1.0};
+  obs::MetricsRegistry registry;
+  CsvOptions options;
+  options.metrics = &registry;
+
+  auto first = LoadCsv("age,hours\n3,1\n3,2\n7,2\n1,2\n", {age, hours},
+                       options);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  const double first_seconds =
+      registry.GetDoubleCounter("data_load_seconds")->Value();
+  EXPECT_GT(first_seconds, 0.0);
+  EXPECT_EQ(registry.GetGauge("data_rows")->Value(), 4);
+  EXPECT_EQ(registry.GetGauge("data_column_cardinality{attr=age}")->Value(),
+            3);
+  EXPECT_EQ(
+      registry.GetGauge("data_column_cardinality{attr=hours}")->Value(), 2);
+
+  // The second load's skipped bad row counts neither as a row nor
+  // toward the cardinalities.
+  auto second =
+      LoadCsv("age,hours\n5,0\n5,7\nbad,1\n", {age, hours}, options);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_GT(registry.GetDoubleCounter("data_load_seconds")->Value(),
+            first_seconds);
+  EXPECT_EQ(registry.GetGauge("data_rows")->Value(), 6);
+  EXPECT_EQ(registry.GetGauge("data_column_cardinality{attr=age}")->Value(),
+            1);
+  EXPECT_EQ(
+      registry.GetGauge("data_column_cardinality{attr=hours}")->Value(), 2);
 }
 
 }  // namespace

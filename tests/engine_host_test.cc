@@ -7,9 +7,11 @@
 #include <future>
 #include <vector>
 
+#include "core/constraints.h"
 #include "core/policy.h"
 #include "core/secret_graph.h"
 #include "engine/batch_request.h"
+#include "engine/release_engine.h"
 #include "util/random.h"
 
 namespace blowfish {
@@ -127,6 +129,94 @@ TEST(EngineHostTest, TenantsSharingAPolicyShareSensitivityWork) {
   const SensitivityCache::Stats stats = host.cache().stats();
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.hits, 1u);
+}
+
+/// S(f, P) of a one-request batch on `policy`, from a fresh engine with
+/// its own cache — the reference a shared-cache tenant must match.
+double FreshSensitivity(const Policy& policy, const Dataset& data,
+                        const QueryRequest& request) {
+  auto engine = ReleaseEngine::Create(policy, data).value();
+  const std::vector<QueryResponse> responses = engine->ServeBatch({request});
+  EXPECT_TRUE(responses[0].status.ok()) << responses[0].status.ToString();
+  return responses[0].sensitivity;
+}
+
+/// Serves `request` on tenants "a" then "b" of one host (one shared
+/// sensitivity cache) and checks each against its own fresh engine. The
+/// two policies must have different sensitivities, or the probe could
+/// not tell a shared entry from a correct one.
+void ExpectNoSharedEntry(const Policy& a, const Policy& b,
+                         const Dataset& data, const QueryRequest& request) {
+  const double want_a = FreshSensitivity(a, data, request);
+  const double want_b = FreshSensitivity(b, data, request);
+  ASSERT_NE(want_a, want_b);
+  EngineHost host;
+  ASSERT_TRUE(host.AddTenant("p", "a", a, data).ok());
+  ASSERT_TRUE(host.AddTenant("p", "b", b, data).ok());
+  auto first = host.ServeBatch("p", "a", {request});
+  auto second = host.ServeBatch("p", "b", {request});
+  ASSERT_TRUE(first.ok() && second.ok());
+  EXPECT_EQ((*first)[0].sensitivity, want_a);
+  EXPECT_EQ((*second)[0].sensitivity, want_b);
+  EXPECT_FALSE((*second)[0].cache_hit);
+}
+
+TEST(EngineHostTest, SameSizedGridPartitionsDoNotShareSensitivity) {
+  // {4,4} and {2,8} cells of a 400x300 grid are both 16-cell
+  // partitions; k-means' S(f, P) follows the cell diameter (346 vs 472),
+  // so a cache entry keyed by the cell count alone under-noises
+  // whichever tenant is served second. Both orders.
+  auto domain = std::make_shared<const Domain>(
+      Domain::Create({Attribute{"x", 400, 1.0}, Attribute{"y", 300, 1.0}})
+          .value());
+  auto grid = [&domain](std::vector<uint64_t> cells) {
+    auto part = PartitionGraph::UniformGrid(domain, std::move(cells)).value();
+    return Policy::Create(domain,
+                          std::shared_ptr<const SecretGraph>(part.release()))
+        .value();
+  };
+  const Policy square = grid({4, 4});
+  const Policy strips = grid({2, 8});
+  const Dataset data = MakeData(domain, 200);
+  const QueryRequest kmeans =
+      MakeQueryRequest("kmeans", 0.5, {{"k", "2"}, {"iters", "2"}}).value();
+  {
+    SCOPED_TRACE("{4,4} first");
+    ExpectNoSharedEntry(square, strips, data, kmeans);
+  }
+  {
+    SCOPED_TRACE("{2,8} first");
+    ExpectNoSharedEntry(strips, square, data, kmeans);
+  }
+}
+
+TEST(EngineHostTest, SameNamedPinnedConstraintsDoNotShareSensitivity) {
+  // Two tenants pin a count constraint under one name, "c", with
+  // different predicates: x < 4 is a union of G^P cells, x < 2 splits
+  // one, which forces compensating moves and a larger histogram bound.
+  auto domain = LineDomain(16);
+  const Dataset data = MakeData(domain, 200);
+  auto pinned = [&](uint64_t bound) {
+    auto part = PartitionGraph::UniformGrid(domain, {4}).value();
+    CountQuery c("c", [bound](ValueIndex x) { return x < bound; });
+    const uint64_t answer = c.Evaluate(data);
+    ConstraintSet cs;
+    cs.AddWithAnswer(std::move(c), answer);
+    return Policy::Create(domain,
+                          std::shared_ptr<const SecretGraph>(part.release()),
+                          std::move(cs))
+        .value();
+  };
+  const Policy aligned = pinned(4);
+  const Policy split = pinned(2);
+  {
+    SCOPED_TRACE("aligned first");
+    ExpectNoSharedEntry(aligned, split, data, HistogramRequest(0.5));
+  }
+  {
+    SCOPED_TRACE("split first");
+    ExpectNoSharedEntry(split, aligned, data, HistogramRequest(0.5));
+  }
 }
 
 TEST(EngineHostTest, BatchOutputBitIdenticalForAnyPoolSize) {

@@ -237,8 +237,53 @@ TEST(SensitivityCacheTest, PolicyFingerprintSeparatesPolicies) {
   // Same policy shape -> same fingerprint.
   Policy full2 = Policy::FullDomain(domain).value();
   EXPECT_EQ(fp_full, SensitivityCache::PolicyFingerprint(full2));
-  // Tags separate otherwise-identical fingerprints.
-  EXPECT_NE(fp_full, SensitivityCache::PolicyFingerprint(full, "tag"));
+
+  // Equal names, different content. UniformGrid names a partition by its
+  // cell count, so {4,4} and {2,8} on one grid are both "partition|16";
+  // the key must see the cells themselves.
+  auto grid = std::make_shared<const Domain>(
+      Domain::Create({Attribute{"x", 400, 1.0}, Attribute{"y", 300, 1.0}})
+          .value());
+  auto partition = [&grid](std::vector<uint64_t> cells) {
+    auto part = PartitionGraph::UniformGrid(grid, std::move(cells)).value();
+    return Policy::Create(grid,
+                          std::shared_ptr<const SecretGraph>(part.release()))
+        .value();
+  };
+  const std::string fp_square =
+      SensitivityCache::PolicyFingerprint(partition({4, 4}));
+  EXPECT_NE(fp_square,
+            SensitivityCache::PolicyFingerprint(partition({2, 8})));
+  EXPECT_EQ(fp_square,
+            SensitivityCache::PolicyFingerprint(partition({4, 4})));
+
+  // Two explicit graphs, both named "explicit", with different edges.
+  auto explicit_policy =
+      [&domain](std::vector<std::pair<ValueIndex, ValueIndex>> edges) {
+        auto graph = ExplicitGraph::Create(domain->size(), edges).value();
+        return Policy::Create(
+                   domain, std::shared_ptr<const SecretGraph>(graph.release()))
+            .value();
+      };
+  EXPECT_NE(SensitivityCache::PolicyFingerprint(explicit_policy({{0, 1}})),
+            SensitivityCache::PolicyFingerprint(explicit_policy({{0, 2}})));
+
+  // Two pinned count constraints under one name with different
+  // predicates.
+  auto pinned = [&domain](uint64_t bound) {
+    auto part = PartitionGraph::UniformGrid(domain, {4}).value();
+    ConstraintSet cs;
+    cs.AddWithAnswer(
+        CountQuery("c", [bound](ValueIndex x) { return x < bound; }), 1);
+    return Policy::Create(domain,
+                          std::shared_ptr<const SecretGraph>(part.release()),
+                          std::move(cs))
+        .value();
+  };
+  EXPECT_NE(SensitivityCache::PolicyFingerprint(pinned(4)),
+            SensitivityCache::PolicyFingerprint(pinned(2)));
+  EXPECT_EQ(SensitivityCache::PolicyFingerprint(pinned(4)),
+            SensitivityCache::PolicyFingerprint(pinned(4)));
 }
 
 TEST(SensitivityCacheTest, ConstrainedAndUnconstrainedVariantsAreDistinct) {

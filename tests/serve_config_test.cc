@@ -24,7 +24,6 @@ TEST(ServeConfigTest, ParsesHostAndTenantBlocks) {
       "ledger = census.ledger\n"
       "session = alice : 2.5\n"
       "session = bob : 1.0\n"
-      "scan = row\n"
       "\n"
       "tenant = salaries\n"
       "policy = salary_policy.txt\n"
@@ -54,7 +53,6 @@ TEST(ServeConfigTest, ParsesHostAndTenantBlocks) {
   EXPECT_EQ(census.sessions[0].first, "alice");
   EXPECT_DOUBLE_EQ(census.sessions[0].second, 2.5);
   EXPECT_EQ(census.sessions[1].first, "bob");
-  EXPECT_EQ(census.scan_mode, "row");
 
   const TenantConfig& salaries = config->tenants[1];
   EXPECT_EQ(salaries.name, "salaries");
@@ -66,7 +64,6 @@ TEST(ServeConfigTest, ParsesHostAndTenantBlocks) {
   EXPECT_FALSE(salaries.seed.has_value());
   EXPECT_TRUE(salaries.requests_file.empty());
   EXPECT_TRUE(salaries.ledger_file.empty());
-  EXPECT_EQ(salaries.scan_mode, "shared");  // the default
 }
 
 TEST(ServeConfigTest, RejectsMalformedInput) {
@@ -107,10 +104,17 @@ TEST(ServeConfigTest, RejectsMalformedInput) {
   EXPECT_FALSE(ParseServeConfig("tenant = t\npolicy = p\ncsv = c\n"
                                 "tenant = t\npolicy = p\ncsv = c\n")
                    .ok());
-  // Scan mode outside the shared|columnar|row vocabulary.
+  // The retired `scan` key is an unknown tenant key, whatever its value.
   EXPECT_FALSE(
       ParseServeConfig("tenant = t\npolicy = p\ncsv = c\nscan = fast\n")
           .ok());
+  const auto retired_scan =
+      ParseServeConfig("tenant = t\npolicy = p\ncsv = c\nscan = shared\n");
+  ASSERT_FALSE(retired_scan.ok());
+  EXPECT_EQ(retired_scan.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(retired_scan.status().message().find("unknown tenant key 'scan'"),
+            std::string::npos)
+      << retired_scan.status().message();
   // Malformed session declarations.
   EXPECT_FALSE(
       ParseServeConfig("tenant = t\npolicy = p\ncsv = c\nsession = alice\n")

@@ -1,0 +1,331 @@
+// Served-bytes pin: every registered QueryOp served through ReleaseEngine
+// at pool sizes {0, 1, 8}, on line and grid fixtures (unconstrained and
+// constrained twins of each), must reproduce a recorded transcript
+// digest — an FNV-1a hash over values, statuses, sensitivities and full
+// budget receipts. The digests were recorded from the engine as it stood
+// before its dataset scan paths were folded into one memoized h(D), so
+// every later deletion in the serving path is checked against the same
+// bytes, not merely against another path of the same build. A change
+// that moves served bytes on purpose (a re-keyed noise stream, say)
+// re-records the digests and says so.
+//
+// A final test drives the same contract over the wire: a daemon tenant
+// answers the whole-registry batch with the transcript of the in-process
+// engine.
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "core/constraints.h"
+#include "core/policy.h"
+#include "core/secret_graph.h"
+#include "engine/batch_request.h"
+#include "engine/release_engine.h"
+#include "net/client.h"
+#include "net/server.h"
+#include "server/engine_host.h"
+#include "util/random.h"
+#include "util/thread_pool.h"
+
+namespace blowfish {
+namespace {
+
+constexpr uint64_t kSeed = 20140612;
+constexpr double kEps = 0.25;
+
+std::shared_ptr<const Domain> LineDomain(uint64_t size) {
+  return std::make_shared<const Domain>(Domain::Line(size).value());
+}
+
+Dataset MakeData(const std::shared_ptr<const Domain>& domain, size_t n,
+                 uint64_t seed = 11) {
+  Random rng(seed);
+  std::vector<ValueIndex> tuples;
+  tuples.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    tuples.push_back(static_cast<ValueIndex>(
+        rng.UniformInt(0, static_cast<int64_t>(domain->size()) - 1)));
+  }
+  return Dataset::Create(domain, std::move(tuples)).value();
+}
+
+/// One batch line per registered kind, each with its own ExampleArgs —
+/// enumerating the registry keeps this suite honest when a new op file
+/// lands: the new kind is covered (and moves the digests) with zero
+/// edits here.
+std::string WholeRegistryBatchText() {
+  std::string text;
+  for (const std::string& kind :
+       QueryOpRegistry::Global().KnownKinds()) {
+    auto op = QueryOpRegistry::Global().Create(kind);
+    EXPECT_TRUE(op.ok()) << op.status().ToString();
+    text += kind + " eps=" + std::to_string(kEps) + " label=" + kind;
+    const std::string args = (*op)->ExampleArgs();
+    if (!args.empty()) text += " " + args;
+    text += "\n";
+  }
+  return text;
+}
+
+std::vector<QueryRequest> WholeRegistryBatch() {
+  auto requests = ParseBatchRequests(WholeRegistryBatchText());
+  EXPECT_TRUE(requests.ok()) << requests.status().ToString();
+  return std::move(*requests);
+}
+
+/// FNV-1a over a transcript: status code and message, label, payload
+/// bits, sensitivity bits and every receipt field. Doubles hash by bit
+/// pattern, so the digest is exactly as strict as operator== on each
+/// value.
+class TranscriptDigest {
+ public:
+  void Add(const std::vector<QueryResponse>& responses) {
+    U64(responses.size());
+    for (const QueryResponse& r : responses) {
+      U64(static_cast<uint64_t>(r.status.code()));
+      Str(r.status.message());
+      Str(r.label);
+      U64(r.values.size());
+      for (double v : r.values) F64(v);
+      F64(r.sensitivity);
+      const BudgetReceipt& receipt = r.receipt;
+      Str(receipt.session);
+      Str(receipt.label);
+      U64(receipt.charge_id);
+      F64(receipt.charged);
+      F64(receipt.epsilon);
+      F64(receipt.remaining);
+      F64(receipt.budget);
+      U64(receipt.parallel ? 1 : 0);
+      U64(receipt.refunded ? 1 : 0);
+    }
+  }
+
+  uint64_t value() const { return h_; }
+
+ private:
+  void Byte(uint8_t b) { h_ = (h_ ^ b) * 1099511628211ull; }
+  void U64(uint64_t v) {
+    for (int i = 0; i < 8; ++i) Byte(static_cast<uint8_t>(v >> (8 * i)));
+  }
+  void F64(double v) {
+    uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof(bits));
+    U64(bits);
+  }
+  void Str(const std::string& s) {
+    U64(s.size());
+    for (char c : s) Byte(static_cast<uint8_t>(c));
+  }
+
+  uint64_t h_ = 14695981039346656037ull;
+};
+
+uint64_t Digest(const std::vector<QueryResponse>& responses) {
+  TranscriptDigest d;
+  d.Add(responses);
+  return d.value();
+}
+
+std::string Hex(uint64_t v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "0x%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
+struct Fixture {
+  std::string name;
+  Policy policy;
+  Dataset data;
+  /// Kinds expected to refuse this fixture (dimension mismatch or the
+  /// documented hier_range constrained holdout). Refusals are part of
+  /// the transcript and of its digest, same as served payloads.
+  std::vector<std::string> expected_refusals;
+  /// Digest of the fixture's first whole-registry batch on a fresh
+  /// engine — the same at every pool size.
+  uint64_t first_batch_digest;
+  /// Digest of three consecutive whole-registry batches on one engine:
+  /// the memoized h(D) served from the second batch on must not move a
+  /// byte.
+  uint64_t three_rounds_digest;
+};
+
+/// Five fixtures covering the registry's whole domain/graph/constraint
+/// matrix: Line(16) split into four G^P cells (plus a constrained twin
+/// pinning one count constraint from the data), Line(16) under the
+/// line secret graph, and an 8x8 grid split into 2x2 G^P cells (plus
+/// its constrained twin). On the partitioned line the refusals are the
+/// spatial op (quadtree needs two attributes) and hier_range (the OH
+/// mechanism resolves theta from line/full/threshold graphs only; on
+/// the pinned twin it refuses as the documented constrained holdout);
+/// on the line graph cell_histogram refuses (no G^P cells) and
+/// hier_range finally serves; on the grid the whole 1-D family refuses
+/// instead.
+std::vector<Fixture> Fixtures() {
+  const std::vector<std::string> kGridRefusals{
+      "cdf", "hier_range", "mean", "quantiles", "range", "wavelet_range"};
+  std::vector<Fixture> out;
+  auto domain = LineDomain(16);
+  Dataset data = MakeData(domain, 300, 13);
+  {
+    auto part = PartitionGraph::UniformGrid(domain, {4}).value();
+    Policy policy =
+        Policy::Create(domain,
+                       std::shared_ptr<const SecretGraph>(part.release()))
+            .value();
+    out.push_back(Fixture{"unconstrained", std::move(policy), data,
+                          {"hier_range", "quadtree"},
+                          0x42e17ff34d95cb37ull, 0x66b880df71a5b4edull});
+  }
+  {
+    auto part = PartitionGraph::UniformGrid(domain, {4}).value();
+    ConstraintSet cs;
+    CountQuery low("low", [](ValueIndex x) { return x < 4; });
+    const uint64_t answer = low.Evaluate(data);
+    cs.AddWithAnswer(std::move(low), answer);
+    Policy policy =
+        Policy::Create(domain,
+                       std::shared_ptr<const SecretGraph>(part.release()),
+                       std::move(cs))
+            .value();
+    out.push_back(Fixture{"constrained", std::move(policy), data,
+                          {"hier_range", "quadtree"},
+                          0x7d29a2abe27b7a07ull, 0x01d4bb75728859f5ull});
+  }
+  {
+    Policy policy =
+        Policy::Create(domain, std::make_shared<LineGraph>(domain->size()))
+            .value();
+    out.push_back(Fixture{"line_graph", std::move(policy), std::move(data),
+                          {"cell_histogram", "quadtree"},
+                          0x747e98e3a2884561ull, 0x5364588a0f768c09ull});
+  }
+  auto grid =
+      std::make_shared<const Domain>(Domain::Grid(8, 2).value());
+  Dataset grid_data = MakeData(grid, 300, 17);
+  {
+    auto part = PartitionGraph::UniformGrid(grid, {2, 2}).value();
+    Policy policy =
+        Policy::Create(grid,
+                       std::shared_ptr<const SecretGraph>(part.release()))
+            .value();
+    out.push_back(Fixture{"grid_unconstrained", std::move(policy), grid_data,
+                          kGridRefusals, 0x6e716ba7a86e5cc8ull,
+                          0x32bf2e8d0da3f538ull});
+  }
+  {
+    auto part = PartitionGraph::UniformGrid(grid, {2, 2}).value();
+    ConstraintSet cs;
+    CountQuery corner("corner", [grid](ValueIndex x) {
+      return grid->Coordinate(x, 0) < 2 && grid->Coordinate(x, 1) < 2;
+    });
+    const uint64_t answer = corner.Evaluate(grid_data);
+    cs.AddWithAnswer(std::move(corner), answer);
+    Policy policy =
+        Policy::Create(grid,
+                       std::shared_ptr<const SecretGraph>(part.release()),
+                       std::move(cs))
+            .value();
+    out.push_back(Fixture{"grid_constrained", std::move(policy),
+                          std::move(grid_data), kGridRefusals,
+                          0xb1c456bcc777d913ull, 0x25e390b80860b114ull});
+  }
+  return out;
+}
+
+std::unique_ptr<ReleaseEngine> MakeEngine(
+    const Policy& policy, const Dataset& data,
+    std::shared_ptr<ThreadPool> pool = nullptr) {
+  ReleaseEngineOptions options;
+  options.root_seed = kSeed;
+  options.default_session_budget = 10.0;
+  if (pool != nullptr) options.pool = std::move(pool);
+  auto engine = ReleaseEngine::Create(policy, data, options);
+  EXPECT_TRUE(engine.ok()) << engine.status().ToString();
+  return std::move(*engine);
+}
+
+TEST(TranscriptPinTest, AllOpsMatchRecordedDigestsAtEveryPoolSize) {
+  for (const Fixture& f : Fixtures()) {
+    SCOPED_TRACE("fixture " + f.name);
+    for (size_t pool_size : {size_t{0}, size_t{1}, size_t{8}}) {
+      SCOPED_TRACE("pool " + std::to_string(pool_size));
+      auto engine = MakeEngine(f.policy, f.data,
+                               std::make_shared<ThreadPool>(pool_size));
+      const std::vector<QueryResponse> responses =
+          engine->ServeBatch(WholeRegistryBatch());
+      ASSERT_EQ(responses.size(),
+                QueryOpRegistry::Global().KnownKinds().size());
+      // Exactly the fixture's expected-refusal set refuses; every other
+      // kind serves. (Refusal CONTENT is checked in
+      // constrained_ops_e2e_test and query_ops_test; the digest pins it
+      // here.)
+      for (const QueryResponse& r : responses) {
+        const bool expect_refusal =
+            std::find(f.expected_refusals.begin(), f.expected_refusals.end(),
+                      r.label) != f.expected_refusals.end();
+        EXPECT_EQ(r.status.ok(), !expect_refusal)
+            << r.label << ": " << r.status.ToString();
+      }
+      EXPECT_GT(engine->accountant().Spent(""), 0.0);
+      EXPECT_EQ(Hex(Digest(responses)), Hex(f.first_batch_digest));
+    }
+  }
+}
+
+TEST(TranscriptPinTest, RepeatedBatchesMatchRecordedDigest) {
+  // The engine memoizes h(D) at its first histogram query and serves
+  // every later batch from the memo; three consecutive batches must
+  // still reproduce the recorded three-round transcript.
+  for (const Fixture& f : Fixtures()) {
+    SCOPED_TRACE("fixture " + f.name);
+    auto engine = MakeEngine(f.policy, f.data);
+    TranscriptDigest digest;
+    for (int round = 0; round < 3; ++round) {
+      const std::vector<QueryResponse> responses =
+          engine->ServeBatch(WholeRegistryBatch());
+      if (round == 0) {
+        EXPECT_EQ(Hex(Digest(responses)), Hex(f.first_batch_digest));
+      }
+      digest.Add(responses);
+    }
+    EXPECT_EQ(Hex(digest.value()), Hex(f.three_rounds_digest));
+  }
+}
+
+TEST(TranscriptPinTest, WireTranscriptMatchesRecordedDigest) {
+  // The full e2e path (parse -> admit -> scan -> execute -> frame) over
+  // a daemon: the tenant is the "unconstrained" fixture under the same
+  // seed, so its wire transcript must hash to that fixture's digest.
+  const Fixture f = Fixtures().front();
+  ASSERT_EQ(f.name, "unconstrained");
+  EngineHostOptions host_options;
+  host_options.num_threads = 2;
+  auto host = std::make_unique<EngineHost>(host_options);
+  TenantOptions tenant;
+  tenant.default_session_budget = 10.0;
+  tenant.root_seed = kSeed;
+  ASSERT_TRUE(host->AddTenant("p", "d", f.policy, f.data, tenant).ok());
+
+  auto server = BlowfishServer::Start(host.get());
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  auto client =
+      BlowfishClient::Connect("127.0.0.1", (*server)->port(), "p", "d");
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  auto responses = (*client)->SubmitBatchText(WholeRegistryBatchText());
+  ASSERT_TRUE(responses.ok()) << responses.status().ToString();
+  EXPECT_TRUE((*client)->Bye().ok());
+  (*server)->Stop();
+  EXPECT_EQ(Hex(Digest(*responses)), Hex(f.first_batch_digest));
+}
+
+}  // namespace
+}  // namespace blowfish
