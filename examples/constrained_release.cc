@@ -6,8 +6,10 @@
 // (clinic x insurance x diagnosis). Differential-privacy-style noise
 // calibrated to sensitivity 2 is *unsound* against an adversary who knows
 // the marginal (correlations!); Blowfish calibrates to the policy graph
-// instead (Thm 8.2 / 8.4). This example also demonstrates the Sec 3.2
-// averaging attack that motivates all of this.
+// instead (Thm 8.2 / 8.4). The release itself goes through the
+// ReleaseEngine, which charges it against a budget and calibrates it to
+// the constrained histogram bound. This example also demonstrates the
+// Sec 3.2 averaging attack that motivates all of this.
 
 #include <cstdio>
 #include <memory>
@@ -15,7 +17,8 @@
 #include "core/attack.h"
 #include "core/policy.h"
 #include "core/policy_graph.h"
-#include "mech/laplace.h"
+#include "engine/batch_request.h"
+#include "engine/release_engine.h"
 
 using namespace blowfish;
 
@@ -55,16 +58,24 @@ int main() {
               pg.HistogramSensitivityBound().value(),
               MarginalFullDomainSensitivity(*domain, known).value());
 
-  // Release the histogram with correctly calibrated noise.
+  // Release the histogram with correctly calibrated noise: a
+  // one-request batch on a release engine.
   Policy policy =
       Policy::Create(domain, graph, std::move(constraints)).value();
   Histogram hist = admissions.CompleteHistogram().value();
-  Random rng(13);
-  auto released =
-      LaplaceHistogramWithConstraints(policy, hist, /*epsilon=*/1.0, rng)
-          .value();
-  std::printf("released %zu counts; first cell true %.0f -> noisy %.1f\n\n",
-              released.size(), hist[0], released[0]);
+  ReleaseEngineOptions options;
+  options.root_seed = 13;
+  auto engine = ReleaseEngine::Create(policy, admissions, options).value();
+  QueryResponse released = engine->ServeBatch(
+      {MakeQueryRequest("histogram", /*epsilon=*/1.0).value()})[0];
+  if (!released.status.ok()) {
+    std::printf("release refused: %s\n", released.status.ToString().c_str());
+    return 1;
+  }
+  std::printf("released %zu counts at S(h, P) = %.0f; first cell true %.0f "
+              "-> noisy %.1f\n\n",
+              released.values.size(), released.sensitivity, hist[0],
+              released.values[0]);
 
   // Why sensitivity-2 noise would be unsound: the Sec 3.2 averaging
   // attack. Counts + known pairwise sums reconstruct the table.

@@ -32,9 +32,10 @@ Checks, in order of how much we trust them on shared hardware:
      staying quiet about scheduler jitter. Tighten with --tolerance on
      quiet hardware.
 
-Metrics the gate does not list (cold_qps: 3 one-shot queries dominated
-by policy-graph setup, where a single page-cache miss moves the number
-by 2x) are reported by the bench but never gated.
+Metrics the gate does not list (cold_qps: 3 cache-cleared queries
+dominated by the constrained sensitivity computation, where a single
+page-cache miss moves the number by 2x) are reported by the bench but
+never gated.
 """
 
 import argparse

@@ -57,7 +57,12 @@ class PolicyGraph {
   /// xi(G_P): number of edges of the longest simple v+ -> v- path.
   StatusOr<uint64_t> LongestSourceSinkPath(size_t max_vertices = 24) const;
 
-  /// The Thm 8.2 bound S(h, P) <= 2 max{alpha, xi}.
+  /// The Thm 8.2 bound S(h, P) <= 2 max{alpha, xi}: the paper's formula
+  /// over E(G) moves only, kept for the Sec 8 analyses. It is not a
+  /// release calibration — compensating moves off E(G) can exceed it
+  /// (4 vs the Def 4.1 oracle's 6 on a two-threshold line), so releases
+  /// use the weighted all-pairs chain bound (core/sensitivity.h,
+  /// ConstrainedLinearQuerySensitivity) through the ReleaseEngine.
   StatusOr<double> HistogramSensitivityBound(size_t max_vertices = 24) const;
 
  private:

@@ -154,8 +154,8 @@ class ValueWeightedSumQuery final : public LinearQuery {
 /// one output row per domain value whose cell is in the set, in domain
 /// order. Moving a tuple across an edge of G^P changes two rows if the
 /// edge's (shared) cell is included, none otherwise — the weight that
-/// drives the per-cell critical-set sensitivity below. Shared by the
-/// `cell_histogram` QueryOp and mech/parallel_release.h.
+/// drives the per-cell critical-set sensitivity below. The query the
+/// `cell_histogram` QueryOp releases.
 class CellRestrictedHistogramQuery final : public LinearQuery {
  public:
   CellRestrictedHistogramQuery(const PartitionGraph& partition,
@@ -272,9 +272,8 @@ std::vector<uint64_t> SortedUnionCells(
 /// histograms can change in one step; since the members' disjoint row
 /// sets concatenate to the union-restricted histogram,
 ///   sum_m eps_m L1_m / S_union <= max_m eps_m,
-/// which is exactly the single max-epsilon parallel charge. One
-/// definition shared by mech/parallel_release.cc and the engine so the
-/// two layers cannot diverge on calibration.
+/// which is exactly the single max-epsilon parallel charge. The engine
+/// noises every member of an admitted constrained group at this scale.
 StatusOr<double> ConstrainedUnionCellsSensitivity(
     const Policy& policy,
     const std::vector<std::vector<uint64_t>>& member_cells,

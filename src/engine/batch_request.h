@@ -18,10 +18,16 @@
 //   cell_histogram  eps= cells=0,3,7 [group=] [label=] [session=]
 //   range           eps= lo= hi= [label=] [session=]
 //   cdf             eps= [label=] [session=]
-//   quantiles       eps= qs=0.25,0.5,0.75 [label=] [session=]
+//   quantiles       eps= [qs=0.25,0.5,0.75] [label=] [session=]
 //   kmeans          eps= [k=] [iters=] [label=] [session=]
 //   mean            eps= [label=] [session=]
 //   wavelet_range   eps= lo= hi= [label=] [session=]
+//   quadtree        eps= x0= x1= y0= y1= [depth=] [label=] [session=]
+//   hier_range      eps= lo= hi= [fanout=] [eps_s_fraction=]
+//                   [consistency=] [label=] [session=]
+//
+// `blowfish_cli <kind> --key value ...` builds one such request from its
+// flags and serves it as a one-request batch.
 
 #ifndef BLOWFISH_ENGINE_BATCH_REQUEST_H_
 #define BLOWFISH_ENGINE_BATCH_REQUEST_H_

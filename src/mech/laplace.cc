@@ -1,7 +1,5 @@
 #include "mech/laplace.h"
 
-#include "core/policy_graph.h"
-
 namespace blowfish {
 
 StatusOr<std::vector<double>> LaplaceRelease(
@@ -27,27 +25,14 @@ StatusOr<std::vector<double>> LaplaceMechanism(const LinearQuery& query,
                                                uint64_t max_edges) {
   if (policy.has_constraints()) {
     return Status::FailedPrecondition(
-        "use LaplaceHistogramWithConstraints for constrained policies");
+        "LaplaceMechanism serves unconstrained policies only; serve "
+        "constrained policies through ReleaseEngine "
+        "(engine/release_engine.h)");
   }
   BLOWFISH_ASSIGN_OR_RETURN(
       double sensitivity,
       UnconstrainedSensitivity(query, policy.graph(), max_edges));
   return LaplaceRelease(query.Evaluate(data), sensitivity, epsilon, rng);
-}
-
-StatusOr<std::vector<double>> LaplaceHistogramWithConstraints(
-    const Policy& policy, const Histogram& data, double epsilon, Random& rng,
-    uint64_t max_edges) {
-  if (!policy.has_constraints()) {
-    return Status::FailedPrecondition(
-        "policy has no constraints; use LaplaceMechanism");
-  }
-  BLOWFISH_ASSIGN_OR_RETURN(
-      PolicyGraph pg,
-      PolicyGraph::Build(policy.constraints(), policy.graph(), max_edges));
-  BLOWFISH_ASSIGN_OR_RETURN(double sensitivity,
-                            pg.HistogramSensitivityBound());
-  return LaplaceRelease(data.counts(), sensitivity, epsilon, rng);
 }
 
 }  // namespace blowfish

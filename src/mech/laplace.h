@@ -28,20 +28,15 @@ StatusOr<std::vector<double>> LaplaceRelease(
 
 /// End-to-end (eps, P)-Blowfish release of a linear query on a histogram:
 /// computes S(f, P) with the generic unconstrained engine, evaluates the
-/// query, and perturbs. Requires an unconstrained policy.
+/// query, and perturbs. Requires an unconstrained policy; constrained
+/// policies are served by ReleaseEngine (engine/release_engine.h), whose
+/// ops calibrate to the oracle-checked constrained bounds.
 StatusOr<std::vector<double>> LaplaceMechanism(const LinearQuery& query,
                                                const Policy& policy,
                                                const Histogram& data,
                                                double epsilon, Random& rng,
                                                uint64_t max_edges = uint64_t{1}
                                                                     << 26);
-
-/// Releases the complete histogram under a *constrained* policy with
-/// sparse count constraints, calibrating to the Thm 8.2 policy-graph
-/// bound 2 max{alpha, xi}.
-StatusOr<std::vector<double>> LaplaceHistogramWithConstraints(
-    const Policy& policy, const Histogram& data, double epsilon, Random& rng,
-    uint64_t max_edges = uint64_t{1} << 26);
 
 }  // namespace blowfish
 

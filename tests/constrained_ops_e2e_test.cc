@@ -9,6 +9,9 @@
 //    max(eps) — a per-member charge would overrun the exactly-sized
 //    budget below — and both members are noised at the shared
 //    union-cells sensitivity,
+//  * on hand-built cell fixtures, the exact union scale of a coherent
+//    group, the group refusal of a straddling constraint, and the free
+//    exact release of singleton cells,
 //  * the formerly refused ops (kmeans, the ordered S_T family) now
 //    serve pinned policies through the cumulative-histogram /
 //    move-norm chain bounds, and the one documented holdout
@@ -412,6 +415,80 @@ TEST(ConstrainedOpsE2ETest, StraddlingGroupRefusedCoherentGroupServed) {
       << refused[0].status.message();
   // The refused group charged nothing.
   EXPECT_DOUBLE_EQ(coupled_engine->accountant().Spent(""), 0.0);
+}
+
+TEST(ConstrainedOpsE2ETest, CellGroupOnHandBuiltCellFixtures) {
+  // Line(6) split into G^P cells {0..3} / {4, 5}, with one pinned count
+  // of {1, 2}: critical only in cell 0, so the {0} / {1} grouping is
+  // coherent. Both members are noised at the union-cells scale
+  // S_union = 4: a compensating move can carry a tuple from cell 0 into
+  // cell 1, so noising cell 1 at its solo sensitivity 2 would
+  // under-cover the joint loss at the max-epsilon charge.
+  auto domain = LineDomain(6);
+  const std::vector<uint64_t> cell_of{0, 0, 0, 0, 1, 1};
+  auto partition = std::make_shared<const PartitionGraph>(
+      cell_of.size(), [cell_of](ValueIndex x) { return cell_of[x]; },
+      "partition|cells");
+  Dataset data = Dataset::Create(domain, {0, 2, 3, 4, 4, 5}).value();
+  auto pinned_policy = [&](CountQuery query) {
+    ConstraintSet cs;
+    const uint64_t answer = query.Evaluate(data);
+    cs.AddWithAnswer(std::move(query), answer);
+    return Policy::Create(domain, partition, std::move(cs)).value();
+  };
+  constexpr char kGroup[] =
+      "cell_histogram eps=0.5 cells=0 group=g\n"
+      "cell_histogram eps=0.25 cells=1 group=g\n";
+
+  Policy coupled = pinned_policy(
+      CountQuery("mid", [](ValueIndex x) { return x == 1 || x == 2; }));
+  auto engine = MakeEngine(coupled, data);
+  auto served = engine->ServeBatch(ParseBatchRequests(kGroup).value());
+  ASSERT_EQ(served.size(), 2u);
+  for (const QueryResponse& r : served) {
+    ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+    EXPECT_DOUBLE_EQ(r.sensitivity, 4.0);
+  }
+  EXPECT_EQ(served[0].values.size(), 4u);  // values 0..3
+  EXPECT_EQ(served[1].values.size(), 2u);  // values 4..5
+  // One parallel charge of max(eps), attributed to the larger member.
+  EXPECT_DOUBLE_EQ(served[0].receipt.charged, 0.5);
+  EXPECT_DOUBLE_EQ(served[1].receipt.charged, 0.0);
+  EXPECT_DOUBLE_EQ(engine->accountant().Spent(""), 0.5);
+
+  // A constraint critical in both cells couples them into one
+  // component: the same grouping is refused, as a group, before any
+  // charge.
+  Policy straddling = pinned_policy(
+      CountQuery("both", [](ValueIndex x) { return x == 1 || x == 4; }));
+  auto straddling_engine = MakeEngine(straddling, data);
+  auto refused =
+      straddling_engine->ServeBatch(ParseBatchRequests(kGroup).value());
+  ASSERT_EQ(refused.size(), 2u);
+  EXPECT_EQ(refused[0].status.code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(refused[1].status.code(), StatusCode::kFailedPrecondition);
+  EXPECT_DOUBLE_EQ(straddling_engine->accountant().Spent(""), 0.0);
+
+  // Unconstrained singleton cells have no in-cell edge: every member
+  // releases its exact count, and the all-free group charges nothing.
+  auto pair_domain = LineDomain(2);
+  Policy singletons =
+      Policy::Create(pair_domain,
+                     std::make_shared<const PartitionGraph>(
+                         2, [](ValueIndex x) { return x; }, "partition|1x1"))
+          .value();
+  Dataset pair_data = Dataset::Create(pair_domain, {0, 1, 1}).value();
+  auto free_engine = MakeEngine(singletons, pair_data);
+  auto exact =
+      free_engine->ServeBatch(ParseBatchRequests(kGroup).value());
+  ASSERT_EQ(exact.size(), 2u);
+  for (const QueryResponse& r : exact) {
+    ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+    EXPECT_DOUBLE_EQ(r.sensitivity, 0.0);
+  }
+  EXPECT_EQ(exact[0].values, std::vector<double>{1.0});
+  EXPECT_EQ(exact[1].values, std::vector<double>{2.0});
+  EXPECT_DOUBLE_EQ(free_engine->accountant().Spent(""), 0.0);
 }
 
 }  // namespace

@@ -45,7 +45,6 @@
 #include "core/privacy_loss.h"
 #include "core/secret_graph.h"
 #include "core/sensitivity.h"
-#include "mech/parallel_release.h"
 #include "util/random.h"
 
 namespace blowfish {
@@ -522,60 +521,6 @@ TEST(SignedScalarFixtureTest, SignedBoundExactWhereMagnitudeOverNoises) {
   const double oracle =
       BruteForceSensitivity(policy, 2, 100000, sum).value();
   EXPECT_DOUBLE_EQ(oracle, 3.0);
-}
-
-TEST(ConstrainedCellFixtureTest, MechParallelCellReleaseEndToEnd) {
-  auto domain = LineDomain(6);
-  Policy policy = CoupledCellFixture(domain);
-  Dataset data = Dataset::Create(domain, {0, 2, 3, 4, 4, 5}).value();
-  Random rng(42);
-  PrivacyAccountant acct;
-  auto result = ParallelCellHistogramRelease(data, policy, {{0}, {1}},
-                                             {0.5, 0.3}, rng, &acct);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  ASSERT_EQ(result->group_histograms.size(), 2u);
-  EXPECT_EQ(result->group_histograms[0].size(), 4u);  // values 0..3
-  EXPECT_EQ(result->group_histograms[1].size(), 2u);  // values 4..5
-  // Constrained groups share the union-cells scale (S_union = 4 here):
-  // a compensating move can carry a tuple from cell 0 into cell 1, so
-  // noising cell 1 at its solo sensitivity 2 would under-cover the
-  // joint loss at the max-epsilon charge.
-  EXPECT_DOUBLE_EQ(result->group_sensitivities[0], 4.0);
-  EXPECT_DOUBLE_EQ(result->group_sensitivities[1], 4.0);
-  // One parallel charge of max(eps).
-  EXPECT_DOUBLE_EQ(result->total_epsilon, 0.5);
-  EXPECT_DOUBLE_EQ(acct.TotalEpsilon(), 0.5);
-
-  // An all-free group (unconstrained singleton cells: no in-cell edge,
-  // no compensation) releases exact truths and charges nothing.
-  auto free_domain = LineDomain(2);
-  Policy free_policy =
-      Policy::Create(free_domain, MakePartition({0, 1})).value();
-  Dataset free_data = Dataset::Create(free_domain, {0, 1, 1}).value();
-  PrivacyAccountant free_acct;
-  auto free_result = ParallelCellHistogramRelease(
-      free_data, free_policy, {{0}, {1}}, {0.5, 0.3}, rng, &free_acct);
-  ASSERT_TRUE(free_result.ok()) << free_result.status().ToString();
-  EXPECT_DOUBLE_EQ(free_result->group_sensitivities[0], 0.0);
-  EXPECT_DOUBLE_EQ(free_result->group_sensitivities[1], 0.0);
-  EXPECT_EQ(free_result->group_histograms[0], std::vector<double>{1.0});
-  EXPECT_EQ(free_result->group_histograms[1], std::vector<double>{2.0});
-  EXPECT_DOUBLE_EQ(free_result->total_epsilon, 0.0);
-  EXPECT_DOUBLE_EQ(free_acct.TotalEpsilon(), 0.0);
-
-  // A straddling constraint is refused outright.
-  std::vector<uint64_t> cell_of{0, 0, 0, 0, 1, 1};
-  ConstraintSet straddling;
-  straddling.AddWithAnswer(
-      CountQuery("both", [](ValueIndex x) { return x == 1 || x == 4; }), 1);
-  Policy coupled = Policy::Create(domain, MakePartition(cell_of),
-                                  std::move(straddling))
-                       .value();
-  EXPECT_EQ(ParallelCellHistogramRelease(data, coupled, {{0}, {1}},
-                                         {0.5, 0.3}, rng)
-                .status()
-                .code(),
-            StatusCode::kFailedPrecondition);
 }
 
 }  // namespace

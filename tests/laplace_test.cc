@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "util/stats.h"
 
@@ -72,39 +73,11 @@ TEST(LaplaceMechanismTest, RejectsConstrainedPolicy) {
   CompleteHistogramQuery q(4);
   Random rng(3);
   Histogram data(4);
-  EXPECT_EQ(LaplaceMechanism(q, p, data, 1.0, rng).status().code(),
-            StatusCode::kFailedPrecondition);
-}
-
-TEST(LaplaceHistogramWithConstraintsTest, UsesPolicyGraphBound) {
-  // 1-D domain of 4, constraint = count of lower half, full secrets:
-  // S(h, P) = 4 (see policy_graph_test); noise is drawn at scale 4/eps.
-  auto dom = std::make_shared<const Domain>(Domain::Line(4).value());
-  ConstraintSet cs;
-  cs.AddWithAnswer(CountQuery("low", [](ValueIndex x) { return x < 2; }), 1);
-  Policy p = Policy::Create(dom, std::make_shared<FullGraph>(4),
-                            std::move(cs))
-                 .value();
-  Histogram data({1, 0, 2, 1});
-  Random rng(42);
-  const double eps = 1.0;
-  std::vector<double> errors;
-  for (int i = 0; i < 20000; ++i) {
-    auto out = LaplaceHistogramWithConstraints(p, data, eps, rng).value();
-    errors.push_back(out[0] - data[0]);
-  }
-  // Var = 2 (4/eps)^2 = 32.
-  EXPECT_NEAR(Variance(errors), 32.0, 3.0);
-}
-
-TEST(LaplaceHistogramWithConstraintsTest, RejectsUnconstrained) {
-  auto dom = std::make_shared<const Domain>(Domain::Line(4).value());
-  Policy p = Policy::FullDomain(dom).value();
-  Histogram data(4);
-  Random rng(1);
-  EXPECT_EQ(
-      LaplaceHistogramWithConstraints(p, data, 1.0, rng).status().code(),
-      StatusCode::kFailedPrecondition);
+  const Status refused = LaplaceMechanism(q, p, data, 1.0, rng).status();
+  EXPECT_EQ(refused.code(), StatusCode::kFailedPrecondition);
+  // The refusal names the one constrained release path.
+  EXPECT_NE(refused.message().find("ReleaseEngine"), std::string::npos)
+      << refused.message();
 }
 
 }  // namespace

@@ -92,6 +92,28 @@ TEST(PolicyGraphOracleTest, SingleCountQueryMatchesBruteForce) {
   EXPECT_DOUBLE_EQ(bound, 4.0);
 }
 
+// The E(G)-only formula is not a release calibration: on Line(6) under
+// the line graph with pinned thresholds #(x < 2) = 1 and #(x < 4) = 2, a
+// neighbour's compensating move may jump a non-edge pair, and the Def
+// 4.1 oracle over three tuples reaches 6 while 2 max{alpha, xi} is 4.
+TEST(PolicyGraphOracleTest, EdgeOnlyBoundBelowOracleOffEdge) {
+  auto dom = std::make_shared<const Domain>(Domain::Line(6).value());
+  ConstraintSet q;
+  q.AddWithAnswer(CountQuery("lt2", [](ValueIndex x) { return x < 2; }), 1);
+  q.AddWithAnswer(CountQuery("lt4", [](ValueIndex x) { return x < 4; }), 2);
+  auto graph = std::make_shared<LineGraph>(6);
+  PolicyGraph pg = PolicyGraph::Build(q, *graph, kMaxEdges).value();
+  EXPECT_DOUBLE_EQ(pg.HistogramSensitivityBound().value(), 4.0);
+
+  Policy p = Policy::Create(dom, graph, std::move(q)).value();
+  auto hist = [](const Dataset& d) {
+    std::vector<double> h(d.domain().size(), 0.0);
+    for (ValueIndex t : d.tuples()) h[t] += 1.0;
+    return h;
+  };
+  EXPECT_DOUBLE_EQ(BruteForceSensitivity(p, 3, 100000, hist).value(), 6.0);
+}
+
 TEST(PolicyGraphTest, NonSparseRejected) {
   ConstraintSet q;
   q.Add(CountQuery("ge5", [](ValueIndex x) { return x >= 5; }));

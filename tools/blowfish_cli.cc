@@ -1,16 +1,11 @@
 // blowfish_cli — end-to-end command-line driver.
 //
 // Ties the declarative policy spec, CSV ingestion, strategy selection,
-// and the mechanisms into the workflow a data publisher would run:
+// and the release engine into the workflow a data publisher would run:
 //
-//   blowfish_cli histogram --policy p.txt --csv data.csv --column 1 --eps 0.5
-//   blowfish_cli cdf       --policy p.txt --csv data.csv --column 1 --eps 0.5
-//   blowfish_cli range     --policy p.txt --csv data.csv --column 1
-//                          --eps 0.5 --lo 100 --hi 400
-//   blowfish_cli quantiles --policy p.txt --csv data.csv --column 1
-//                          --eps 0.5 --qs 0.5,0.9,0.99
-//   blowfish_cli kmeans    --policy p.txt --csv data.csv --columns 0,1
-//                          --eps 0.5 --k 4
+//   blowfish_cli <kind>    --policy p.txt --csv data.csv [--column 1]
+//                          [--eps 0.5] [--<key> <value> ...]
+//                          [--seed 7] [--budget 10] [--ledger_file f]
 //   blowfish_cli advise    --policy p.txt --eps 0.5
 //   blowfish_cli batch     --policy p.txt --csv data.csv
 //                          --requests reqs.txt [--threads 4] [--seed 7]
@@ -29,6 +24,12 @@
 //   blowfish_cli health    --port 7070 [--host 127.0.0.1]
 //   blowfish_cli trace     --files server.jsonl,client.jsonl
 //
+// A command that names a registered query kind (histogram, range,
+// quantiles, kmeans, ... — see src/engine/ops/) is a one-request
+// `batch`: the request is `<kind> eps=<eps>` plus every flag this file
+// does not own, as key=value (`range --lo 100 --hi 400` is the request
+// line `range eps=... lo=100 hi=400`), served through the same engine,
+// output, ledger and cache path. No answer leaves the CLI any other way.
 // The `advise` command prints the predicted per-range-query error of each
 // strategy under the policy (mech/error_models.h) without touching data.
 // The `batch` command serves a whole request file through one
@@ -47,7 +48,7 @@
 // prints each query's response the moment it completes instead of
 // waiting for its whole batch. The query kinds `batch`/`serve` accept
 // are whatever the QueryOpRegistry holds (see src/engine/ops/) — this
-// file names none of them. The `remote` command ships the same batch
+// file's code names none of them. The `remote` command ships the same batch
 // file to a running `blowfish_serverd` over the wire protocol
 // (net/client.h) and prints the streamed responses; the tenant key is
 // the (policy id, tenant name) pair the daemon's serve config
@@ -84,11 +85,7 @@
 #include "data/csv_loader.h"
 #include "engine/batch_request.h"
 #include "engine/release_engine.h"
-#include "mech/cdf_applications.h"
 #include "mech/error_models.h"
-#include "mech/kmeans.h"
-#include "mech/laplace.h"
-#include "mech/ordered.h"
 #include "mech/ordered_hierarchical.h"
 #include "net/client.h"
 #include "obs/jsonl.h"
@@ -97,7 +94,6 @@
 #include "server/host_builder.h"
 #include "server/serve_config.h"
 #include "util/parse.h"
-#include "util/random.h"
 
 namespace blowfish {
 namespace {
@@ -123,19 +119,6 @@ struct Args {
 int Fail(const std::string& message) {
   std::fprintf(stderr, "error: %s\n", message.c_str());
   return 1;
-}
-
-StatusOr<std::vector<double>> ParseDoubleList(const std::string& s,
-                                              const std::string& context) {
-  std::vector<double> out;
-  std::istringstream in(s);
-  std::string token;
-  while (std::getline(in, token, ',')) {
-    BLOWFISH_ASSIGN_OR_RETURN(double value,
-                              ParseFiniteDouble(token, context));
-    out.push_back(value);
-  }
-  return out;
 }
 
 StatusOr<std::vector<size_t>> ParseSizeList(const std::string& s,
@@ -708,6 +691,15 @@ int RunRemote(Args& args) {
   return 0;
 }
 
+/// Flags a single-shot query command consumes itself; every other flag
+/// becomes a key=value on its request.
+bool IsCliOwnedFlag(const std::string& flag) {
+  static const std::set<std::string> kOwned = {
+      "policy", "csv",     "column", "columns",    "bin_width",   "eps",
+      "seed",   "threads", "budget", "cache_file", "ledger_file", "stream"};
+  return kOwned.count(flag) != 0;
+}
+
 int RunCli(Args args) {
   if (args.command == "serve") return RunServe(args);
   if (args.command == "sessions") return RunSessions(args);
@@ -715,6 +707,12 @@ int RunCli(Args args) {
   if (args.command == "stats") return RunStats(args);
   if (args.command == "health") return RunHealth(args);
   if (args.command == "trace") return RunTrace(args);
+  const QueryOpRegistry& registry = QueryOpRegistry::Global();
+  const bool single_shot = registry.Has(args.command);
+  if (!single_shot && args.command != "advise" && args.command != "batch") {
+    return Fail("unknown command '" + args.command +
+                "' (query kinds: " + registry.KnownKindsString() + ")");
+  }
 
   const char* policy_path = args.Get("policy");
   if (policy_path == nullptr) return Fail("--policy <file> is required");
@@ -736,7 +734,6 @@ int RunCli(Args args) {
     if (!parsed_seed.ok()) return Fail(parsed_seed.status().ToString());
     seed = *parsed_seed;
   }
-  Random rng(seed);
 
   std::printf("# policy %s, eps = %g\n", policy.ToString().c_str(), eps);
 
@@ -753,6 +750,28 @@ int RunCli(Args args) {
     auto best = BestRangeStrategy(policy, eps, 16);
     if (best.ok()) std::printf("# recommended: %s\n", best->name);
     return 0;
+  }
+
+  // Built before the CSV is read, so a bad flag costs no ingestion.
+  std::vector<QueryRequest> requests;
+  if (single_shot) {
+    std::vector<std::pair<std::string, std::string>> kv;
+    for (const auto& [flag, value] : args.flags) {
+      if (!IsCliOwnedFlag(flag)) kv.emplace_back(flag, value);
+    }
+    auto request = MakeQueryRequest(args.command, eps, kv);
+    if (!request.ok()) return Fail(request.status().ToString());
+    requests.push_back(std::move(*request));
+  } else {
+    const char* requests_path = args.Get("requests");
+    if (requests_path == nullptr) return Fail("--requests <file> required");
+    auto request_text = ReadTextFile(requests_path);
+    if (!request_text.ok()) return Fail(request_text.status().ToString());
+    auto parsed_requests = ParseBatchRequests(*request_text);
+    if (!parsed_requests.ok()) {
+      return Fail(parsed_requests.status().ToString());
+    }
+    requests = std::move(*parsed_requests);
   }
 
   std::vector<size_t> columns = {0};
@@ -772,150 +791,58 @@ int RunCli(Args args) {
   if (!data.ok()) return Fail(data.status().ToString());
   std::printf("# loaded %zu rows\n", data->size());
 
-  if (args.command == "batch") {
-    const char* requests_path = args.Get("requests");
-    if (requests_path == nullptr) return Fail("--requests <file> required");
-    auto request_text = ReadTextFile(requests_path);
-    if (!request_text.ok()) return Fail(request_text.status().ToString());
-    auto requests = ParseBatchRequests(*request_text);
-    if (!requests.ok()) return Fail(requests.status().ToString());
+  ReleaseEngineOptions options;
+  options.root_seed = seed;
+  if (const char* t = args.Get("threads")) {
+    auto threads = ParseNonNegativeInt(t, "--threads");
+    if (!threads.ok()) return Fail(threads.status().ToString());
+    options.num_threads = static_cast<size_t>(*threads);
+  }
+  if (const char* b = args.Get("budget")) {
+    auto budget = ParseFiniteDouble(b, "--budget");
+    if (!budget.ok()) return Fail(budget.status().ToString());
+    options.default_session_budget = *budget;
+  }
+  auto engine = ReleaseEngine::Create(policy, std::move(*data), options);
+  if (!engine.ok()) return Fail(engine.status().ToString());
 
-    ReleaseEngineOptions options;
-    options.root_seed = rng.seed();
-    if (const char* t = args.Get("threads")) {
-      auto threads = ParseNonNegativeInt(t, "--threads");
-      if (!threads.ok()) return Fail(threads.status().ToString());
-      options.num_threads = static_cast<size_t>(*threads);
+  const char* cache_file = args.Get("cache_file");
+  if (cache_file != nullptr) {
+    Status loaded = (*engine)->cache().LoadFromFile(cache_file);
+    // A missing file is a cold start, not an error.
+    if (!loaded.ok() && loaded.code() != StatusCode::kNotFound) {
+      return Fail(loaded.ToString());
     }
-    if (const char* b = args.Get("budget")) {
-      auto budget = ParseFiniteDouble(b, "--budget");
-      if (!budget.ok()) return Fail(budget.status().ToString());
-      options.default_session_budget = *budget;
+  }
+  const char* ledger_file = args.Get("ledger_file");
+  if (ledger_file != nullptr) {
+    Status loaded = (*engine)->accountant().LoadFromFile(ledger_file);
+    // A missing ledger means no prior spend, not an error.
+    if (!loaded.ok() && loaded.code() != StatusCode::kNotFound) {
+      return Fail(loaded.ToString());
     }
-    auto engine =
-        ReleaseEngine::Create(policy, std::move(*data), options);
-    if (!engine.ok()) return Fail(engine.status().ToString());
-
-    const char* cache_file = args.Get("cache_file");
-    if (cache_file != nullptr) {
-      Status loaded = (*engine)->cache().LoadFromFile(cache_file);
-      // A missing file is a cold start, not an error.
-      if (!loaded.ok() && loaded.code() != StatusCode::kNotFound) {
-        return Fail(loaded.ToString());
-      }
-    }
-    const char* ledger_file = args.Get("ledger_file");
-    if (ledger_file != nullptr) {
-      Status loaded = (*engine)->accountant().LoadFromFile(ledger_file);
-      // A missing ledger means no prior spend, not an error.
-      if (!loaded.ok() && loaded.code() != StatusCode::kNotFound) {
-        return Fail(loaded.ToString());
-      }
-    }
-
-    QueryCompletionCallback on_complete;
-    if (args.GetBool("stream")) on_complete = StreamPrinter("");
-    auto responses = (*engine)->ServeBatch(*requests, on_complete);
-    if (!on_complete) PrintResponses(*requests, responses);
-    PrintCacheStats((*engine)->cache());
-    std::printf("%s", (*engine)->accountant().ToString().c_str());
-    if (cache_file != nullptr) {
-      Status saved = (*engine)->cache().SaveToFile(cache_file);
-      if (!saved.ok()) return Fail(saved.ToString());
-      std::printf("# sensitivity cache saved to %s (%zu entries)\n",
-                  cache_file, (*engine)->cache().size());
-    }
-    if (ledger_file != nullptr) {
-      Status saved = (*engine)->accountant().SaveToFile(ledger_file);
-      if (!saved.ok()) return Fail(saved.ToString());
-      std::printf("# budget ledger saved to %s\n", ledger_file);
-    }
-    return 0;
   }
 
-  if (args.command == "kmeans") {
-    KMeansOptions opts;
-    if (const char* k = args.Get("k")) {
-      auto parsed_k = ParseNonNegativeInt(k, "--k");
-      if (!parsed_k.ok()) return Fail(parsed_k.status().ToString());
-      opts.k = static_cast<size_t>(*parsed_k);
-    }
-    if (const char* it = args.Get("iters")) {
-      auto iters = ParseNonNegativeInt(it, "--iters");
-      if (!iters.ok()) return Fail(iters.status().ToString());
-      opts.iterations = static_cast<size_t>(*iters);
-    }
-    auto result = BlowfishKMeans(*data, policy, eps, opts, rng);
-    if (!result.ok()) return Fail(result.status().ToString());
-    std::printf("objective,%.6g\n", result->objective);
-    for (size_t c = 0; c < result->centroids.size(); ++c) {
-      std::printf("centroid%zu", c);
-      for (double v : result->centroids[c]) std::printf(",%.4f", v);
-      std::printf("\n");
-    }
-    return 0;
+  QueryCompletionCallback on_complete;
+  if (args.GetBool("stream")) on_complete = StreamPrinter("");
+  auto responses = (*engine)->ServeBatch(requests, on_complete);
+  if (!on_complete) PrintResponses(requests, responses);
+  PrintCacheStats((*engine)->cache());
+  std::printf("%s", (*engine)->accountant().ToString().c_str());
+  if (cache_file != nullptr) {
+    Status saved = (*engine)->cache().SaveToFile(cache_file);
+    if (!saved.ok()) return Fail(saved.ToString());
+    std::printf("# sensitivity cache saved to %s (%zu entries)\n",
+                cache_file, (*engine)->cache().size());
   }
-
-  auto hist = data->CompleteHistogram();
-  if (!hist.ok()) return Fail(hist.status().ToString());
-
-  if (args.command == "histogram") {
-    CompleteHistogramQuery query(policy.domain().size());
-    auto released = LaplaceMechanism(query, policy, *hist, eps, rng);
-    if (!released.ok()) return Fail(released.status().ToString());
-    std::printf("bucket,noisy_count\n");
-    for (size_t i = 0; i < released->size(); ++i) {
-      if ((*hist)[i] != 0.0 || (*released)[i] > 1.0) {
-        std::printf("%zu,%.2f\n", i, (*released)[i]);
-      }
-    }
-    return 0;
+  if (ledger_file != nullptr) {
+    Status saved = (*engine)->accountant().SaveToFile(ledger_file);
+    if (!saved.ok()) return Fail(saved.ToString());
+    std::printf("# budget ledger saved to %s\n", ledger_file);
   }
-
-  // The CDF-family commands share an Ordered-Mechanism release.
-  auto released = OrderedMechanism(*hist, policy, eps, rng);
-  if (!released.ok()) return Fail(released.status().ToString());
-
-  if (args.command == "cdf") {
-    auto cdf = CdfFromCumulative(released->inferred_cumulative);
-    if (!cdf.ok()) return Fail(cdf.status().ToString());
-    std::printf("bucket,cdf\n");
-    size_t stride = std::max<size_t>(1, cdf->size() / 50);
-    for (size_t i = 0; i < cdf->size(); i += stride) {
-      std::printf("%zu,%.4f\n", i, (*cdf)[i]);
-    }
-    return 0;
-  }
-  if (args.command == "range") {
-    const char* lo = args.Get("lo");
-    const char* hi = args.Get("hi");
-    if (lo == nullptr || hi == nullptr) return Fail("--lo/--hi required");
-    auto lo_bucket = ParseNonNegativeInt(lo, "--lo");
-    if (!lo_bucket.ok()) return Fail(lo_bucket.status().ToString());
-    auto hi_bucket = ParseNonNegativeInt(hi, "--hi");
-    if (!hi_bucket.ok()) return Fail(hi_bucket.status().ToString());
-    auto answer = released->RangeQuery(static_cast<size_t>(*lo_bucket),
-                                       static_cast<size_t>(*hi_bucket));
-    if (!answer.ok()) return Fail(answer.status().ToString());
-    std::printf("range[%s,%s],%.2f\n", lo, hi, *answer);
-    return 0;
-  }
-  if (args.command == "quantiles") {
-    std::vector<double> qs = {0.25, 0.5, 0.75};
-    if (const char* q = args.Get("qs")) {
-      auto parsed_qs = ParseDoubleList(q, "--qs");
-      if (!parsed_qs.ok()) return Fail(parsed_qs.status().ToString());
-      qs = *parsed_qs;
-    }
-    std::printf("q,bucket\n");
-    for (double q : qs) {
-      auto b = QuantileFromCumulative(released->inferred_cumulative, q);
-      if (!b.ok()) return Fail(b.status().ToString());
-      std::printf("%.3f,%zu\n", q, *b);
-    }
-    return 0;
-  }
-  return Fail("unknown command '" + args.command + "'");
+  // A batch reports refusals per query; a single-shot command has one
+  // query, so its refusal is the command's failure.
+  return single_shot && !responses[0].status.ok() ? 1 : 0;
 }
 
 }  // namespace
@@ -924,9 +851,9 @@ int RunCli(Args args) {
 int main(int argc, char** argv) {
   if (argc < 2) {
     std::fprintf(stderr,
-                 "usage: blowfish_cli "
-                 "<histogram|cdf|range|quantiles|kmeans|advise|batch> "
-                 "--policy <file> [--csv <file>] [--eps <v>] ...\n"
+                 "usage: blowfish_cli <kind>   --policy <file> --csv <file> "
+                 "[--eps <v>] [--<key> <value> ...]\n"
+                 "       blowfish_cli advise   --policy <file> [--eps <v>]\n"
                  "       blowfish_cli batch    --policy <file> --csv <file> "
                  "--requests <file>\n"
                  "                             [--threads <n>] [--stream] "
@@ -949,7 +876,7 @@ int main(int argc, char** argv) {
                  "[--host 127.0.0.1]\n"
                  "       blowfish_cli trace    --files "
                  "<a.jsonl[,b.jsonl...]>\n"
-                 "batch request kinds: %s\n",
+                 "query kinds: %s\n",
                  blowfish::QueryOpRegistry::Global().KnownKindsString()
                      .c_str());
     return 1;
