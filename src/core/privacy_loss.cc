@@ -4,57 +4,6 @@
 
 namespace blowfish {
 
-Status PrivacyAccountant::SpendSequential(double epsilon, std::string label) {
-  if (!(epsilon > 0.0)) {
-    return Status::InvalidArgument("epsilon must be positive");
-  }
-  entries_.push_back(Entry{std::move(label), epsilon, /*parallel=*/false});
-  total_ += epsilon;
-  return Status::OK();
-}
-
-Status PrivacyAccountant::SpendParallel(const std::vector<double>& epsilons,
-                                        std::string label) {
-  if (epsilons.empty()) {
-    return Status::InvalidArgument("parallel group needs at least one eps");
-  }
-  double max_eps = 0.0;
-  for (double e : epsilons) {
-    if (!(e > 0.0)) {
-      return Status::InvalidArgument("epsilon must be positive");
-    }
-    max_eps = std::max(max_eps, e);
-  }
-  entries_.push_back(Entry{std::move(label), max_eps, /*parallel=*/true});
-  total_ += max_eps;
-  return Status::OK();
-}
-
-Status PrivacyAccountant::Refund(double epsilon, std::string label) {
-  if (!(epsilon > 0.0)) {
-    return Status::InvalidArgument("refund epsilon must be positive");
-  }
-  if (epsilon > total_ + 1e-12) {
-    return Status::InvalidArgument(
-        "refund of " + std::to_string(epsilon) +
-        " exceeds total recorded loss " + std::to_string(total_));
-  }
-  entries_.push_back(Entry{std::move(label), -epsilon, /*parallel=*/false});
-  total_ -= epsilon;
-  if (total_ < 0.0) total_ = 0.0;  // absorb float dust from the tolerance
-  return Status::OK();
-}
-
-std::string PrivacyAccountant::ToString() const {
-  std::string out = "PrivacyAccountant(total=" + std::to_string(total_);
-  for (const Entry& e : entries_) {
-    out += "; " + (e.label.empty() ? std::string("release") : e.label) +
-           (e.parallel ? "[parallel]=" : "=") + std::to_string(e.epsilon);
-  }
-  out += ")";
-  return out;
-}
-
 StatusOr<bool> ParallelCompositionValid(const Policy& policy,
                                         uint64_t max_edges) {
   const ConstraintSet& q = policy.constraints();

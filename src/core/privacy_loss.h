@@ -1,4 +1,4 @@
-// Composition accounting (Sec 4.1).
+// When parallel composition applies (Sec 4.1).
 //
 // Sequential composition (Thm 4.1): privacy losses add. Parallel
 // composition over disjoint id-subsets costs the max loss, provided the
@@ -10,52 +10,18 @@
 // affects *every* subset as soon as crit(q) is non-empty, so the practical
 // check is "every constraint has an empty critical set" — e.g. counts of
 // whole G-components, as in the paper's closing example of Sec 4.1.
+// The checks here decide whether a group may be charged its max; the
+// charging itself is engine/budget_accountant.h.
 
 #ifndef BLOWFISH_CORE_PRIVACY_LOSS_H_
 #define BLOWFISH_CORE_PRIVACY_LOSS_H_
 
-#include <string>
 #include <vector>
 
 #include "core/policy.h"
 #include "util/status.h"
 
 namespace blowfish {
-
-/// Ledger of (eps, P)-Blowfish releases against one policy. Sequential
-/// spends add (Thm 4.1); a parallel group contributes only its max
-/// (Thms 4.2/4.3) once validated.
-class PrivacyAccountant {
- public:
-  /// A sequential release of eps.
-  Status SpendSequential(double epsilon, std::string label = "");
-
-  /// A parallel group: mechanisms applied to disjoint id-subsets. The
-  /// group costs max(epsilons).
-  Status SpendParallel(const std::vector<double>& epsilons,
-                       std::string label = "");
-
-  /// Returns `epsilon` of previously recorded loss: the release it paid
-  /// for failed before anything was published, so no privacy was spent.
-  /// The ledger stays append-only — the refund is recorded as a negative
-  /// entry. Fails if epsilon exceeds the current total.
-  Status Refund(double epsilon, std::string label = "");
-
-  /// Total (eps, P)-Blowfish loss so far.
-  double TotalEpsilon() const { return total_; }
-
-  /// Human-readable ledger.
-  std::string ToString() const;
-
- private:
-  struct Entry {
-    std::string label;
-    double epsilon;
-    bool parallel;
-  };
-  std::vector<Entry> entries_;
-  double total_ = 0.0;
-};
 
 /// Thm 4.3 precondition under uniform secrets: parallel composition over
 /// disjoint id-subsets is valid iff every constraint in the policy has an

@@ -79,6 +79,13 @@ Status WriteLedgerLine(std::ostream& out, const std::string& name,
   return Status::OK();
 }
 
+/// NaN fails every comparison: a `< 0` check admits it, the budget
+/// check (spent + NaN > budget) never refuses it, and it would be
+/// charged as nothing.
+bool ValidEpsilon(double epsilon) {
+  return epsilon >= 0.0 && std::isfinite(epsilon);
+}
+
 /// "budget_charges_total" + scope "t" -> "budget_charges_total{tenant=t}".
 std::string ScopedMetricName(const std::string& base,
                              const std::string& scope) {
@@ -152,22 +159,22 @@ Status BudgetAccountant::OpenSession(const std::string& session,
 
 StatusOr<BudgetReceipt> BudgetAccountant::ChargeSequential(
     const std::string& session, double epsilon, std::string label) {
-  if (epsilon < 0.0) {
-    return Status::InvalidArgument("epsilon must be >= 0");
+  if (!ValidEpsilon(epsilon)) {
+    return Status::InvalidArgument("epsilon must be finite and >= 0");
   }
   std::lock_guard<std::mutex> lock(mu_);
   SessionState& state = GetOrCreateLocked(session);
-  const double spent = state.ledger.TotalEpsilon();
-  if (spent + epsilon > state.budget + 1e-12) {
+  if (state.spent + epsilon > state.budget + 1e-12) {
     refusals_total_->Increment();
     return Status::ResourceExhausted(
         "session '" + session + "': charging " + std::to_string(epsilon) +
-        " would exceed budget (spent " + std::to_string(spent) + " of " +
+        " would exceed budget (spent " + std::to_string(state.spent) +
+        " of " +
         std::to_string(state.budget) + ")");
   }
   BudgetReceipt receipt;
   if (epsilon > 0.0) {
-    BLOWFISH_RETURN_IF_ERROR(state.ledger.SpendSequential(epsilon, label));
+    state.spent += epsilon;
     receipt.charge_id = next_charge_id_++;
     state.open_charges[receipt.charge_id] = epsilon;
   }
@@ -177,7 +184,7 @@ StatusOr<BudgetReceipt> BudgetAccountant::ChargeSequential(
   receipt.label = std::move(label);
   receipt.charged = epsilon;
   receipt.epsilon = epsilon;
-  receipt.remaining = state.budget - state.ledger.TotalEpsilon();
+  receipt.remaining = state.budget - state.spent;
   receipt.budget = state.budget;
   return receipt;
 }
@@ -189,22 +196,24 @@ StatusOr<BudgetReceipt> BudgetAccountant::ChargeParallel(
     return Status::InvalidArgument("parallel group must be non-empty");
   }
   for (double e : epsilons) {
-    if (e < 0.0) return Status::InvalidArgument("epsilon must be >= 0");
+    if (!ValidEpsilon(e)) {
+      return Status::InvalidArgument("epsilon must be finite and >= 0");
+    }
   }
   const double cost = *std::max_element(epsilons.begin(), epsilons.end());
   std::lock_guard<std::mutex> lock(mu_);
   SessionState& state = GetOrCreateLocked(session);
-  const double spent = state.ledger.TotalEpsilon();
-  if (spent + cost > state.budget + 1e-12) {
+  if (state.spent + cost > state.budget + 1e-12) {
     refusals_total_->Increment();
     return Status::ResourceExhausted(
         "session '" + session + "': parallel group of max eps " +
         std::to_string(cost) + " would exceed budget (spent " +
-        std::to_string(spent) + " of " + std::to_string(state.budget) + ")");
+        std::to_string(state.spent) + " of " + std::to_string(state.budget) +
+        ")");
   }
   BudgetReceipt receipt;
   if (cost > 0.0) {
-    BLOWFISH_RETURN_IF_ERROR(state.ledger.SpendParallel(epsilons, label));
+    state.spent += cost;
     receipt.charge_id = next_charge_id_++;
     state.open_charges[receipt.charge_id] = cost;
   }
@@ -214,7 +223,7 @@ StatusOr<BudgetReceipt> BudgetAccountant::ChargeParallel(
   receipt.label = std::move(label);
   receipt.charged = cost;
   receipt.epsilon = cost;
-  receipt.remaining = state.budget - state.ledger.TotalEpsilon();
+  receipt.remaining = state.budget - state.spent;
   receipt.budget = state.budget;
   receipt.parallel = true;
   return receipt;
@@ -243,10 +252,13 @@ Status BudgetAccountant::Refund(const BudgetReceipt& receipt) {
         "receipt claims a charge of " + std::to_string(receipt.charged) +
         " but the ledger recorded " + std::to_string(charge->second));
   }
-  const std::string label =
-      (receipt.label.empty() ? std::string("release") : receipt.label) +
-      " [refund]";
-  BLOWFISH_RETURN_IF_ERROR(state.ledger.Refund(charge->second, label));
+  if (charge->second > state.spent + 1e-12) {
+    return Status::InvalidArgument(
+        "refund of " + std::to_string(charge->second) +
+        " exceeds the session's spent " + std::to_string(state.spent));
+  }
+  state.spent -= charge->second;
+  if (state.spent < 0.0) state.spent = 0.0;  // float dust from the slack
   refunds_total_->Increment();
   eps_refunded_total_->Add(charge->second);
   state.open_charges.erase(charge);
@@ -269,9 +281,8 @@ std::vector<BudgetAccountant::SessionInfo> BudgetAccountant::ListSessions()
   std::vector<SessionInfo> out;
   out.reserve(sessions_.size());
   for (const auto& [name, state] : sessions_) {
-    const double spent = state.ledger.TotalEpsilon();
-    out.push_back(SessionInfo{name, state.budget, spent,
-                              state.budget - spent});
+    out.push_back(SessionInfo{name, state.budget, state.spent,
+                              state.budget - state.spent});
   }
   return out;
 }
@@ -279,14 +290,14 @@ std::vector<BudgetAccountant::SessionInfo> BudgetAccountant::ListSessions()
 double BudgetAccountant::Spent(const std::string& session) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = sessions_.find(session);
-  return it == sessions_.end() ? 0.0 : it->second.ledger.TotalEpsilon();
+  return it == sessions_.end() ? 0.0 : it->second.spent;
 }
 
 double BudgetAccountant::Remaining(const std::string& session) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = sessions_.find(session);
   if (it == sessions_.end()) return default_budget_;
-  return it->second.budget - it->second.ledger.TotalEpsilon();
+  return it->second.budget - it->second.spent;
 }
 
 Status BudgetAccountant::Save(std::ostream& out) const {
@@ -360,10 +371,7 @@ Status BudgetAccountant::Load(std::istream& in) {
     // any session it names (re-loading the same ledger is idempotent).
     SessionState state;
     state.budget = entry.budget;
-    if (entry.spent > 0.0) {
-      BLOWFISH_RETURN_IF_ERROR(
-          state.ledger.SpendSequential(entry.spent, "[restored]"));
-    }
+    state.spent = entry.spent;
     sessions_[entry.name] = std::move(state);
   }
   return Status::OK();
@@ -380,8 +388,8 @@ std::string BudgetAccountant::ToString() const {
   std::ostringstream out;
   out << "BudgetAccountant (" << sessions_.size() << " sessions)\n";
   for (const auto& [name, state] : sessions_) {
-    out << "  session '" << name << "': spent "
-        << state.ledger.TotalEpsilon() << " of " << state.budget << "\n";
+    out << "  session '" << name << "': spent " << state.spent << " of "
+        << state.budget << "\n";
   }
   return out.str();
 }

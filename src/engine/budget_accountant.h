@@ -1,13 +1,12 @@
 // Thread-safe epsilon budget enforcement for the serving layer.
 //
-// The core-layer PrivacyAccountant (core/privacy_loss.h) is a passive
-// ledger: it records what was spent. A serving system needs the converse —
-// an authority that *refuses* releases which would overspend. The
-// BudgetAccountant owns one ledger per named session (a tenant, analyst,
-// or workload), each with its own epsilon cap against the engine's single
-// policy, and charges spends atomically: sequential composition adds
-// (Thm 4.1), a parallel group of structurally disjoint releases costs only
-// its max (Thms 4.2/4.3).
+// The BudgetAccountant is the one record of spent epsilon: an authority
+// that *refuses* releases which would overspend. It keeps one session
+// (a tenant, analyst, or workload) per name, each with its own epsilon
+// cap against the engine's single policy and its running spent total,
+// and charges spends atomically: sequential composition adds
+// (Thm 4.1), a parallel group of structurally disjoint releases costs
+// only its max (Thms 4.2/4.3).
 
 #ifndef BLOWFISH_ENGINE_BUDGET_ACCOUNTANT_H_
 #define BLOWFISH_ENGINE_BUDGET_ACCOUNTANT_H_
@@ -18,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "core/privacy_loss.h"
 #include "obs/audit.h"
 #include "obs/metrics.h"
 #include "util/status.h"
@@ -82,8 +80,9 @@ class BudgetAccountant {
   Status OpenSession(const std::string& session, double budget);
 
   /// Charges a sequential release of `epsilon` (Thm 4.1: losses add).
-  /// Refuses with ResourceExhausted — leaving the ledger untouched — if
-  /// the charge would push the session past its budget.
+  /// Refuses with InvalidArgument an epsilon that is negative, NaN or
+  /// infinite, and with ResourceExhausted — leaving the session's spend
+  /// untouched — a charge that would push the session past its budget.
   StatusOr<BudgetReceipt> ChargeSequential(const std::string& session,
                                            double epsilon,
                                            std::string label = "");
@@ -91,7 +90,8 @@ class BudgetAccountant {
   /// Charges a parallel group (Thms 4.2/4.3: the group costs
   /// max(epsilons)). The caller is responsible for having validated
   /// structural disjointness; see ReleaseEngine. Returns one receipt for
-  /// the whole group.
+  /// the whole group. Members may charge 0 (a free release); every
+  /// epsilon must be finite and >= 0, as for ChargeSequential.
   StatusOr<BudgetReceipt> ChargeParallel(const std::string& session,
                                          const std::vector<double>& epsilons,
                                          std::string label = "");
@@ -163,7 +163,7 @@ class BudgetAccountant {
  private:
   struct SessionState {
     double budget = 0.0;
-    PrivacyAccountant ledger;
+    double spent = 0.0;
     /// charge_id -> charged epsilon, for charges not yet refunded.
     std::map<uint64_t, double> open_charges;
   };

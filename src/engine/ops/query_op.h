@@ -84,7 +84,9 @@ class KeyValueBag {
   std::vector<std::pair<std::string, std::string>> items_;
 };
 
-/// Knobs ComputeSensitivity inherits from the engine's options.
+/// Search budgets for ComputeSensitivity. The engine always passes the
+/// defaults, so a cache shared by many engines never mixes values
+/// computed under different budgets.
 struct SensitivityEnv {
   /// Edge budget for sensitivity computations on explicit graphs.
   uint64_t max_edges = uint64_t{1} << 24;

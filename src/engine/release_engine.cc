@@ -71,8 +71,7 @@ ReleaseEngine::ReleaseEngine(Policy policy, Dataset data,
                                            : obs::AuditLog::Global()),
       cache_(options.shared_cache
                  ? options.shared_cache
-                 : std::make_shared<SensitivityCache>(
-                       options.cache_capacity, options.metrics)),
+                 : std::make_shared<SensitivityCache>(128, options.metrics)),
       pool_(options.pool ? options.pool
                          : std::make_shared<ThreadPool>(
                                options.num_threads - 1, options.metrics)),
@@ -130,8 +129,7 @@ StatusOr<double> ReleaseEngine::ResolveSensitivity(
     const QueryRequest& request, bool* cache_hit) {
   BLOWFISH_ASSIGN_OR_RETURN(std::string shape,
                             request.op->SensitivityShape());
-  const SensitivityEnv env{options_.max_edges, options_.max_pairs,
-                           options_.max_policy_graph_vertices};
+  const SensitivityEnv env;
   // The hit flag is reported by GetOrCompute under the cache's own lock;
   // a separate Contains() probe would race other engines sharing the
   // cache.
@@ -354,7 +352,7 @@ std::vector<QueryResponse> ReleaseEngine::ServeBatch(
             dynamic_cast<const PartitionGraph*>(&policy_.graph());
         // Non-null: the partition requirement was checked above.
         cell_critical_sets_ = ComputeCellCriticalSets(
-            policy_.constraints(), *partition, options_.max_edges);
+            policy_.constraints(), *partition, SensitivityEnv{}.max_edges);
       }
       if (!cell_critical_sets_->ok()) {
         valid = cell_critical_sets_->status();
@@ -382,9 +380,10 @@ std::vector<QueryResponse> ReleaseEngine::ServeBatch(
       shape += "]";
       auto union_sensitivity = cache_->GetOrCompute(
           policy_fp_, shape, [this, &member_cells]() -> StatusOr<double> {
+            const SensitivityEnv env;
             return ConstrainedUnionCellsSensitivity(
-                policy_, member_cells, options_.max_edges,
-                options_.max_pairs, options_.max_policy_graph_vertices);
+                policy_, member_cells, env.max_edges, env.max_pairs,
+                env.max_policy_graph_vertices);
           });
       if (!union_sensitivity.ok()) {
         valid = union_sensitivity.status();

@@ -148,21 +148,13 @@ struct ReleaseEngineOptions {
   /// all of its tenants.
   std::shared_ptr<ThreadPool> pool;
   /// Shared sensitivity cache. When set, it replaces the engine's private
-  /// cache (and `cache_capacity` is ignored); an EngineHost passes one
-  /// process-wide cache to all of its tenants.
+  /// 128-entry cache; an EngineHost passes one process-wide cache to all
+  /// of its tenants.
   std::shared_ptr<SensitivityCache> shared_cache;
   /// Root seed; per-query RNGs are Fork(stream_id) derivations of it.
   uint64_t root_seed = 20140612;
-  size_t cache_capacity = 128;
   /// Budget for sessions auto-created on first use.
   double default_session_budget = 10.0;
-  /// Edge budget for sensitivity computations on explicit graphs.
-  uint64_t max_edges = uint64_t{1} << 24;
-  /// Ordered-pair budget for the all-pairs constrained move enumeration
-  /// (quadratic in the domain — its own knob, not max_edges).
-  uint64_t max_pairs = uint64_t{1} << 28;
-  /// Vertex bound for the exact policy-graph alpha/xi DFS (Thm 8.1).
-  size_t max_policy_graph_vertices = 24;
   /// Registry for the engine's telemetry (per-kind dispatch latency and
   /// spend, refusal-by-status counters, batch counters) and its
   /// accountant's per-tenant budget counters. nullptr = the process-wide

@@ -1,20 +1,14 @@
 #include "engine/sensitivity_cache.h"
 
-#include <cstdio>
-#include <fstream>
 #include <sstream>
 #include <vector>
 
 #include "core/constraints.h"
 #include "core/secret_graph.h"
-#include "util/atomic_file.h"
-#include "util/parse.h"
 
 namespace blowfish {
 
 namespace {
-
-constexpr char kCacheFileHeader[] = "# blowfish-sensitivity-cache v1";
 
 std::string MakeKey(const std::string& policy_fp,
                     const std::string& query_shape) {
@@ -94,7 +88,18 @@ StatusOr<double> SensitivityCache::GetOrCompute(
   in_flight_.erase(key);
   in_flight_cv_.notify_all();
   if (!computed.ok()) return computed.status();
-  PutLocked(key, *computed);
+  // The in-flight claim kept every other writer off this key, so it is
+  // still absent: insert it at the LRU front.
+  if (capacity_ > 0) {
+    if (lru_.size() >= capacity_) {
+      index_.erase(lru_.back().first);
+      lru_.pop_back();
+      ++stats_.evictions;
+      evictions_total_->Increment();
+    }
+    lru_.emplace_front(key, *computed);
+    index_[key] = lru_.begin();
+  }
   return *computed;
 }
 
@@ -118,102 +123,6 @@ void SensitivityCache::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
   lru_.clear();
   index_.clear();
-}
-
-void SensitivityCache::PutLocked(const std::string& key,
-                                 double sensitivity) {
-  auto it = index_.find(key);
-  if (it != index_.end()) {
-    it->second->second = sensitivity;
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return;
-  }
-  if (capacity_ == 0) return;
-  if (lru_.size() >= capacity_) {
-    index_.erase(lru_.back().first);
-    lru_.pop_back();
-    ++stats_.evictions;
-    evictions_total_->Increment();
-  }
-  lru_.emplace_front(key, sensitivity);
-  index_[key] = lru_.begin();
-}
-
-Status SensitivityCache::Save(std::ostream& out) const {
-  // Snapshot under the lock, write outside it: disk I/O must not stall
-  // every tenant's admission path on the shared cache mutex.
-  std::vector<Entry> snapshot;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    snapshot.assign(lru_.rbegin(), lru_.rend());
-  }
-  out << kCacheFileHeader << "\n";
-  // Least recently used first: Load inserts each line at the LRU front,
-  // so the last line written (the hottest entry) ends up hottest again.
-  for (const Entry& entry : snapshot) {
-    if (entry.first.find('\n') != std::string::npos ||
-        entry.first.find('\t') != std::string::npos) {
-      return Status::Internal(
-          "cache key contains a tab or newline and cannot be serialized");
-    }
-    char value[64];
-    std::snprintf(value, sizeof(value), "%.17g", entry.second);
-    out << value << "\t" << entry.first << "\n";
-  }
-  if (!out) return Status::Internal("write to cache stream failed");
-  return Status::OK();
-}
-
-Status SensitivityCache::SaveToFile(const std::string& path) const {
-  // Locked write-then-rename (util/atomic_file.h): a Save that fails
-  // midway must not have truncated the previous good cache file, and
-  // concurrent hosts sharing one warm file must not interleave writes.
-  return AtomicWriteFile(
-      path, [this](std::ostream& out) { return Save(out); });
-}
-
-Status SensitivityCache::Load(std::istream& in) {
-  std::string line;
-  if (!std::getline(in, line) || line != kCacheFileHeader) {
-    return Status::InvalidArgument(
-        "not a sensitivity cache file (missing '" +
-        std::string(kCacheFileHeader) + "' header)");
-  }
-  // Parse the whole file before touching the cache, so a file truncated
-  // mid-write (e.g. a crash during Save) is rejected without leaving the
-  // cache half-merged or evicting entries for garbage.
-  std::vector<Entry> parsed;
-  size_t line_no = 1;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line.empty()) continue;
-    const size_t tab = line.find('\t');
-    if (tab == std::string::npos) {
-      return Status::InvalidArgument("cache line " + std::to_string(line_no) +
-                                     ": expected <value>\\t<key>");
-    }
-    const std::string value_text = line.substr(0, tab);
-    auto value = ParseFiniteDouble(
-        value_text, "cache line " + std::to_string(line_no));
-    if (!value.ok()) return value.status();
-    // A sensitivity is a nonnegative real; inf/NaN are rejected above,
-    // and a negative value could only come from corruption.
-    if (*value < 0.0) {
-      return Status::InvalidArgument("cache line " + std::to_string(line_no) +
-                                     ": negative sensitivity '" +
-                                     value_text + "'");
-    }
-    parsed.emplace_back(line.substr(tab + 1), *value);
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const Entry& entry : parsed) PutLocked(entry.first, entry.second);
-  return Status::OK();
-}
-
-Status SensitivityCache::LoadFromFile(const std::string& path) {
-  std::ifstream file(path);
-  if (!file) return Status::NotFound("cannot open '" + path + "'");
-  return Load(file);
 }
 
 std::string SensitivityCache::PolicyFingerprint(const Policy& policy) {
@@ -245,8 +154,7 @@ std::string SensitivityCache::PolicyFingerprint(const Policy& policy) {
     // constraint set have different sensitivities and must not share an
     // entry. A pinned query's predicate is folded in too, value by
     // value: two constraints may share a name and not a meaning.
-    // Hashed rather than inlined to keep keys serializable (Save
-    // rejects tabs/newlines) and bounded in length.
+    // Hashed rather than inlined to keep keys bounded in length.
     const ConstraintSet& constraints = policy.constraints();
     Fnv1a h;
     for (size_t i = 0; i < constraints.size(); ++i) {

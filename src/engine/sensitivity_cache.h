@@ -8,6 +8,8 @@
 // compute each value once and reuse it for the lifetime of the policy.
 // This cache is a mutex-guarded LRU map from (policy fingerprint, query
 // shape) to S(f, P), shared by all worker threads of a ReleaseEngine.
+// It lives in memory only, so every value in it was computed by this
+// process.
 
 #ifndef BLOWFISH_ENGINE_SENSITIVITY_CACHE_H_
 #define BLOWFISH_ENGINE_SENSITIVITY_CACHE_H_
@@ -15,7 +17,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <iosfwd>
 #include <list>
 #include <mutex>
 #include <set>
@@ -82,20 +83,6 @@ class SensitivityCache {
   size_t capacity() const { return capacity_; }
   void Clear();
 
-  /// Text serialization, so a restarted process starts warm instead of
-  /// re-running the NP-hard bounds. Format: a version header, then one
-  /// `<value>\t<key>` line per entry, least recently used first (so Load,
-  /// which inserts in line order at the LRU front, reproduces the
-  /// recency order). Values round-trip bit-exactly via %.17g.
-  Status Save(std::ostream& out) const;
-  Status SaveToFile(const std::string& path) const;
-
-  /// Merges a previously saved cache into this one (existing keys are
-  /// overwritten; capacity eviction applies). Rejects files that do not
-  /// start with the version header.
-  Status Load(std::istream& in);
-  Status LoadFromFile(const std::string& path);
-
   /// A stable fingerprint of the policy for use as a cache key: domain
   /// attributes (name/cardinality/scale), secret-graph name, and the
   /// constraint signature (count, rectangle coordinates, and a hash of
@@ -111,9 +98,6 @@ class SensitivityCache {
 
  private:
   using Entry = std::pair<std::string, double>;  // (key, sensitivity)
-
-  /// Inserts (or refreshes) a key at the LRU front. Must hold mu_.
-  void PutLocked(const std::string& key, double sensitivity);
 
   mutable std::mutex mu_;
   size_t capacity_;

@@ -94,10 +94,6 @@ StatusOr<ReleaseEngine*> EngineHost::GetOrCreateEngine(
       DeriveTenantSeed(options_.root_seed, key.first, key.second));
   engine_options.default_session_budget =
       tenant->options.default_session_budget;
-  engine_options.max_edges = tenant->options.max_edges;
-  engine_options.max_pairs = tenant->options.max_pairs;
-  engine_options.max_policy_graph_vertices =
-      tenant->options.max_policy_graph_vertices;
   engine_options.metrics = options_.metrics;
   engine_options.metrics_scope = TenantMetricsScope(key.first, key.second);
   engine_options.tracer = options_.tracer;

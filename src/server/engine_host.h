@@ -83,10 +83,6 @@ struct TenantOptions {
   double default_session_budget = 10.0;
   /// Unset: derived from the host seed and the tenant key.
   std::optional<uint64_t> root_seed;
-  uint64_t max_edges = uint64_t{1} << 24;
-  /// Pair budget for the all-pairs constrained move enumeration.
-  uint64_t max_pairs = uint64_t{1} << 28;
-  size_t max_policy_graph_vertices = 24;
 };
 
 class EngineHost {

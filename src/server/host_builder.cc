@@ -54,13 +54,6 @@ StatusOr<std::unique_ptr<EngineHost>> BuildHostFromConfig(
   host_options.cache_capacity = config.cache_capacity;
   if (config.seed.has_value()) host_options.root_seed = *config.seed;
   auto host = std::make_unique<EngineHost>(host_options);
-  if (!config.cache_file.empty()) {
-    Status loaded = host->cache().LoadFromFile(config.cache_file);
-    // A missing file is a cold start, not an error.
-    if (!loaded.ok() && loaded.code() != StatusCode::kNotFound) {
-      return loaded;
-    }
-  }
   for (const TenantConfig& tenant : config.tenants) {
     BLOWFISH_ASSIGN_OR_RETURN(auto loaded, LoadTenantData(tenant));
     TenantOptions tenant_options;
@@ -96,9 +89,6 @@ StatusOr<std::unique_ptr<EngineHost>> BuildHostFromConfig(
 }
 
 Status SaveHostState(EngineHost& host, const ServeConfig& config) {
-  if (!config.cache_file.empty()) {
-    BLOWFISH_RETURN_IF_ERROR(host.cache().SaveToFile(config.cache_file));
-  }
   for (const TenantConfig& tenant : config.tenants) {
     if (tenant.ledger_file.empty()) continue;
     auto engine = host.engine(tenant.policy_file, tenant.name);

@@ -30,19 +30,17 @@ StatusOr<ServeConfig> LoadServeConfigFile(const std::string& path);
 StatusOr<std::pair<Policy, Dataset>> LoadTenantData(
     const TenantConfig& tenant);
 
-/// Builds the host and registers every tenant from the config: loads
-/// the shared sensitivity cache (`cache_file`, missing = cold start),
-/// opens each tenant's declared budget sessions, and loads per-tenant
-/// ledgers (missing = no prior spend). Tenant keys are
-/// (policy file, tenant name).
+/// Builds the host and registers every tenant from the config: opens
+/// each tenant's declared budget sessions and loads per-tenant ledgers
+/// (missing = no prior spend). Tenant keys are (policy file, tenant
+/// name).
 StatusOr<std::unique_ptr<EngineHost>> BuildHostFromConfig(
     const ServeConfig& config);
 
-/// Flushes the host's persistent state back to the config's files: the
-/// shared sensitivity cache to `cache_file` and each tenant's budget
-/// ledger to its `ledger =` file. The serving front ends run this on
-/// exit — blowfish_serverd runs it from its SIGTERM drain path, so a
-/// terminated daemon's spend survives the restart.
+/// Flushes the host's persistent state back to the config's files: each
+/// tenant's budget ledger to its `ledger =` file. The serving front ends
+/// run this on exit — blowfish_serverd runs it from its SIGTERM drain
+/// path, so a terminated daemon's spend survives the restart.
 Status SaveHostState(EngineHost& host, const ServeConfig& config);
 
 }  // namespace blowfish

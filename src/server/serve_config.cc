@@ -38,10 +38,6 @@ Status ApplyHostKey(const std::string& key, const std::string& value,
     config->cache_capacity = static_cast<size_t>(cap);
     return Status::OK();
   }
-  if (key == "cache_file") {
-    config->cache_file = value;
-    return Status::OK();
-  }
   if (key == "seed") {
     BLOWFISH_ASSIGN_OR_RETURN(uint64_t seed,
                               ParseNonNegativeInt(value, context));

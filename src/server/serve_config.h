@@ -8,7 +8,6 @@
 //   # host
 //   threads = 4                  # shared pool workers
 //   cache_capacity = 1024        # shared sensitivity cache entries
-//   cache_file = warm.cache      # optional: load at start, save at exit
 //   seed = 20140612              # tenant seeds derive from this
 //
 //   tenant = census
@@ -56,7 +55,6 @@ struct TenantConfig {
 struct ServeConfig {
   size_t threads = 4;
   size_t cache_capacity = 1024;
-  std::string cache_file;
   std::optional<uint64_t> seed;
   std::vector<TenantConfig> tenants;
 };

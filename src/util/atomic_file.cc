@@ -8,44 +8,6 @@
 
 namespace blowfish {
 
-namespace {
-
-/// The tmp-write-then-rename step. The caller must hold `path`'s lock.
-Status InstallLocked(const std::string& path,
-                     const std::function<Status(std::ostream&)>& writer) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream file(tmp, std::ios::trunc);
-    if (!file) {
-      return Status::NotFound("cannot open '" + tmp + "' to write");
-    }
-    Status written = writer(file);
-    file.flush();
-    if (written.ok() && !file) {
-      written = Status::Internal("write to '" + tmp + "' failed");
-    }
-    if (!written.ok()) {
-      file.close();
-      std::remove(tmp.c_str());
-      return written;
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::Internal("cannot rename '" + tmp + "' to '" + path +
-                            "'");
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-Status AtomicWriteFile(const std::string& path,
-                       const std::function<Status(std::ostream&)>& writer) {
-  BLOWFISH_ASSIGN_OR_RETURN(FileLock lock, FileLock::Acquire(path));
-  return InstallLocked(path, writer);
-}
-
 Status AtomicUpdateFile(
     const std::string& path,
     const std::function<Status(const std::string* existing,
@@ -62,9 +24,29 @@ Status AtomicUpdateFile(
       have_existing = true;
     }
   }
-  return InstallLocked(path, [&](std::ostream& out) {
-    return writer(have_existing ? &existing : nullptr, out);
-  });
+  const std::string tmp = path + ".tmp";
+  {
+    std::ofstream file(tmp, std::ios::trunc);
+    if (!file) {
+      return Status::NotFound("cannot open '" + tmp + "' to write");
+    }
+    Status written = writer(have_existing ? &existing : nullptr, file);
+    file.flush();
+    if (written.ok() && !file) {
+      written = Status::Internal("write to '" + tmp + "' failed");
+    }
+    if (!written.ok()) {
+      file.close();
+      std::remove(tmp.c_str());
+      return written;
+    }
+  }
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    return Status::Internal("cannot rename '" + tmp + "' to '" + path +
+                            "'");
+  }
+  return Status::OK();
 }
 
 }  // namespace blowfish

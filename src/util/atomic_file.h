@@ -1,17 +1,17 @@
 // Locked, atomic text-file persistence.
 //
-// Every state file this codebase persists (the sensitivity cache, the
-// budget ledgers) follows the same protocol:
+// The budget ledgers, the one state a restarted host reloads, are
+// written with this protocol:
 //
 //   1. take the advisory `<path>.lock` (util/file_lock.h), so concurrent
 //      hosts sharing one file cannot interleave their writes;
-//   2. write the full contents to `<path>.tmp`;
-//   3. rename(2) the tmp over `path`.
+//   2. read the current contents under that lock;
+//   3. write the full new contents to `<path>.tmp`;
+//   4. rename(2) the tmp over `path`.
 //
 // Readers never see a torn file (rename is atomic), a writer that fails
 // midway leaves the previous good file untouched, and two writers cannot
-// clobber each other's tmp. This helper owns that protocol so the cache
-// and the ledger cannot drift apart.
+// clobber each other's tmp.
 
 #ifndef BLOWFISH_UTIL_ATOMIC_FILE_H_
 #define BLOWFISH_UTIL_ATOMIC_FILE_H_
@@ -24,18 +24,14 @@
 
 namespace blowfish {
 
-/// Runs `writer` against a temp stream and atomically installs the
-/// result at `path` under the advisory lock. If `writer` fails (or the
-/// stream errors), the previous file is left untouched and the temp file
-/// is removed.
-Status AtomicWriteFile(const std::string& path,
-                       const std::function<Status(std::ostream&)>& writer);
-
-/// Read-modify-write variant: `writer` also receives the file's
-/// current contents (nullptr when the file does not exist), read under
-/// the same lock acquisition — so a writer that merges with the
+/// Read-modify-write under the advisory lock: `writer` receives the
+/// file's current contents (nullptr when the file does not exist), read
+/// under the same lock acquisition — so a writer that merges with the
 /// on-disk state cannot lose a concurrent process's update between its
-/// read and its rename.
+/// read and its rename — and a temp stream whose contents are then
+/// atomically installed at `path`. If `writer` fails (or the stream
+/// errors), the previous file is left untouched and the temp file is
+/// removed.
 Status AtomicUpdateFile(
     const std::string& path,
     const std::function<Status(const std::string* existing,

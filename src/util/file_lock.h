@@ -1,10 +1,10 @@
 // Advisory cross-process lock files for shared persisted state.
 //
-// Concurrent serving hosts may share one warm sensitivity-cache file or
-// one budget-ledger file. The write path is write-tmp-then-rename, which
-// is atomic for *readers*, but two writers racing on the same `<path>.tmp`
-// can interleave their writes and rename a corrupted file into place. A
-// FileLock serializes the writers.
+// Concurrent serving hosts may share one budget-ledger file. The write
+// path is write-tmp-then-rename, which is atomic for *readers*, but two
+// writers racing on the same `<path>.tmp` can interleave their writes
+// and rename a corrupted file into place. A FileLock serializes the
+// writers.
 //
 // Exclusion is a kernel flock(2) on `<path>.lock` (created O_CREAT and
 // never unlinked), with the owner's pid written into the file for

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -52,6 +53,14 @@ TEST(BudgetAccountantTest, ParallelGroupCostsMax) {
   EXPECT_DOUBLE_EQ(accountant.Spent(""), 0.5);
 }
 
+TEST(BudgetAccountantTest, SequentialAndParallelChargesCompose) {
+  // Thm 4.1 over a Thm 4.2 group: 1.0 + max(0.4, 0.4).
+  BudgetAccountant accountant(2.0);
+  ASSERT_TRUE(accountant.ChargeSequential("", 1.0).ok());
+  ASSERT_TRUE(accountant.ChargeParallel("", {0.4, 0.4}).ok());
+  EXPECT_DOUBLE_EQ(accountant.Spent(""), 1.4);
+}
+
 TEST(BudgetAccountantTest, ParallelGroupRefusedWhenMaxOverBudget) {
   BudgetAccountant accountant(0.4);
   auto refused = accountant.ChargeParallel("", {0.2, 0.5});
@@ -88,6 +97,19 @@ TEST(BudgetAccountantTest, RejectsNegativeEpsilon) {
             StatusCode::kInvalidArgument);
   EXPECT_EQ(accountant.ChargeParallel("", {0.1, -0.2}).status().code(),
             StatusCode::kInvalidArgument);
+  // NaN fails every comparison, so it must be refused explicitly: it
+  // would otherwise charge nothing, or hide behind a group's max.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(accountant.ChargeSequential("", nan).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(accountant.ChargeSequential("", inf).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(accountant.ChargeParallel("", {nan, 0.5}).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(accountant.ChargeParallel("", {0.5, nan}).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_DOUBLE_EQ(accountant.Spent(""), 0.0);
 }
 
 TEST(BudgetAccountantTest, RefundRestoresTheBalance) {

@@ -10,7 +10,6 @@
 #include "core/attack.h"
 #include "core/policy.h"
 #include "core/policy_graph.h"
-#include "core/privacy_loss.h"
 #include "core/sensitivity.h"
 #include "data/synthetic.h"
 #include "mech/hierarchical.h"
@@ -137,15 +136,6 @@ TEST(IntegrationTest, ConstraintAttackAndDefense) {
   double sens = pg.HistogramSensitivityBound().value();
   // The chain structure forces sensitivity well above the DP value 2.
   EXPECT_GE(sens, 4.0);
-}
-
-// Pipeline 5: composition accounting across a realistic release session.
-TEST(IntegrationTest, AccountantTracksSession) {
-  PrivacyAccountant acct;
-  ASSERT_TRUE(acct.SpendSequential(0.5, "kmeans").ok());
-  ASSERT_TRUE(acct.SpendSequential(0.3, "cdf").ok());
-  ASSERT_TRUE(acct.SpendParallel({0.2, 0.2, 0.2}, "per-region hist").ok());
-  EXPECT_NEAR(acct.TotalEpsilon(), 1.0, 1e-12);
 }
 
 // Pipeline 6: range queries on twitter-latitude-like data across the OH

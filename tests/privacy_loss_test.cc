@@ -7,37 +7,6 @@
 namespace blowfish {
 namespace {
 
-TEST(PrivacyAccountantTest, SequentialAdds) {
-  PrivacyAccountant acct;
-  ASSERT_TRUE(acct.SpendSequential(0.5, "kmeans").ok());
-  ASSERT_TRUE(acct.SpendSequential(0.3).ok());
-  EXPECT_DOUBLE_EQ(acct.TotalEpsilon(), 0.8);
-}
-
-TEST(PrivacyAccountantTest, ParallelTakesMax) {
-  PrivacyAccountant acct;
-  ASSERT_TRUE(acct.SpendParallel({0.2, 0.5, 0.1}, "per-state release").ok());
-  EXPECT_DOUBLE_EQ(acct.TotalEpsilon(), 0.5);
-}
-
-TEST(PrivacyAccountantTest, MixedLedger) {
-  PrivacyAccountant acct;
-  ASSERT_TRUE(acct.SpendSequential(1.0).ok());
-  ASSERT_TRUE(acct.SpendParallel({0.4, 0.4}).ok());
-  EXPECT_DOUBLE_EQ(acct.TotalEpsilon(), 1.4);
-  std::string s = acct.ToString();
-  EXPECT_NE(s.find("parallel"), std::string::npos);
-}
-
-TEST(PrivacyAccountantTest, RejectsBadEpsilons) {
-  PrivacyAccountant acct;
-  EXPECT_FALSE(acct.SpendSequential(0.0).ok());
-  EXPECT_FALSE(acct.SpendSequential(-1.0).ok());
-  EXPECT_FALSE(acct.SpendParallel({}).ok());
-  EXPECT_FALSE(acct.SpendParallel({0.5, 0.0}).ok());
-  EXPECT_DOUBLE_EQ(acct.TotalEpsilon(), 0.0);
-}
-
 // The paper's closing example of Sec 4.1: G has two disconnected
 // components S and T\S, and the constraints count tuples in S and in T\S.
 // No edge of G crosses the component boundary, so crit(q) is empty for

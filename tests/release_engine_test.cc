@@ -168,10 +168,11 @@ TEST(ReleaseEngineTest, CachedAndUncachedAnswersAgree) {
   std::vector<QueryRequest> batch(4, HistogramRequest(0.3));
   std::vector<std::vector<QueryResponse>> runs;
   std::vector<SensitivityCache::Stats> stats;
-  for (size_t capacity : {size_t{0}, size_t{128}}) {
+  for (bool cached : {false, true}) {
     ReleaseEngineOptions options;
     options.root_seed = kSeed;
-    options.cache_capacity = capacity;
+    // A capacity-0 cache stores nothing: every lookup recomputes.
+    if (!cached) options.shared_cache = std::make_shared<SensitivityCache>(0);
     options.default_session_budget = 100.0;
     auto engine = MakeEngine(policy, data, options);
     runs.push_back(engine->ServeBatch(batch));
@@ -261,6 +262,39 @@ TEST(ReleaseEngineTest, ParallelGroupChargedMaxNotSum) {
   // Each cell of the 2x2-partitioned 4x4 grid holds 4 values.
   EXPECT_EQ(responses[0].values.size(), 4u);
   EXPECT_DOUBLE_EQ(responses[0].sensitivity, 2.0);
+}
+
+TEST(ReleaseEngineTest, ParallelGroupWithAFreeMemberIsServed) {
+  // Line(6) split into G^P cells {0..3} / {4} / {5}, no constraints.
+  // The member on the singleton cell {4} has no in-cell edge, so S = 0:
+  // it is an exact release charged nothing, and the group costs the
+  // other member's 0.5.
+  auto domain = LineDomain(6);
+  const std::vector<uint64_t> cell_of{0, 0, 0, 0, 1, 2};
+  Policy policy =
+      Policy::Create(domain,
+                     std::make_shared<const PartitionGraph>(
+                         cell_of.size(),
+                         [cell_of](ValueIndex x) { return cell_of[x]; },
+                         "partition|cells"))
+          .value();
+  Dataset data = Dataset::Create(domain, {0, 2, 3, 4, 4, 5}).value();
+  ReleaseEngineOptions options;
+  options.root_seed = kSeed;
+  auto engine = MakeEngine(policy, data, options);
+
+  auto responses = engine->ServeBatch(ParseBatchRequests(
+      "cell_histogram eps=0.5 cells=0 group=g\n"
+      "cell_histogram eps=0.25 cells=1 group=g\n").value());
+  ASSERT_EQ(responses.size(), 2u);
+  ASSERT_TRUE(responses[0].status.ok()) << responses[0].status.ToString();
+  ASSERT_TRUE(responses[1].status.ok()) << responses[1].status.ToString();
+  EXPECT_DOUBLE_EQ(responses[0].sensitivity, 2.0);
+  EXPECT_DOUBLE_EQ(responses[1].sensitivity, 0.0);
+  EXPECT_DOUBLE_EQ(responses[0].receipt.charged, 0.5);
+  EXPECT_DOUBLE_EQ(responses[1].receipt.charged, 0.0);
+  EXPECT_EQ(responses[1].values, std::vector<double>{2.0});
+  EXPECT_DOUBLE_EQ(engine->accountant().Spent(""), 0.5);
 }
 
 TEST(ReleaseEngineTest, ParallelGroupWithOverlappingCellsRefused) {

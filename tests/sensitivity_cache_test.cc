@@ -2,9 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -122,107 +120,6 @@ TEST(SensitivityCacheTest, ConcurrentAccessComputesOnce) {
   EXPECT_EQ(cache.stats().hits + cache.stats().misses, 800u);
 }
 
-TEST(SensitivityCacheTest, SaveLoadRoundTripsEntriesAndRecency) {
-  SensitivityCache cache(8);
-  ASSERT_TRUE(
-      cache.GetOrCompute("p1", "h", []() { return 2.0; }).ok());
-  ASSERT_TRUE(
-      cache.GetOrCompute("p1", "S_T", []() { return 1.0; }).ok());
-  // An awkward but representative value: must round-trip bit-exactly.
-  const double pi_ish = 3.141592653589793;
-  ASSERT_TRUE(
-      cache.GetOrCompute("p2", "h", [&]() { return pi_ish; }).ok());
-
-  std::stringstream stream;
-  ASSERT_TRUE(cache.Save(stream).ok());
-
-  SensitivityCache restored(8);
-  ASSERT_TRUE(restored.Load(stream).ok());
-  EXPECT_EQ(restored.size(), 3u);
-  EXPECT_TRUE(restored.Contains("p1", "h"));
-  EXPECT_TRUE(restored.Contains("p1", "S_T"));
-  EXPECT_TRUE(restored.Contains("p2", "h"));
-  // Every lookup is a hit with the exact original value.
-  int computes = 0;
-  auto v = restored.GetOrCompute("p2", "h", [&]() {
-    ++computes;
-    return -1.0;
-  });
-  ASSERT_TRUE(v.ok());
-  EXPECT_EQ(*v, pi_ish);  // bit-exact, not just approximately equal
-  EXPECT_EQ(computes, 0);
-  EXPECT_EQ(restored.stats().hits, 1u);
-}
-
-TEST(SensitivityCacheTest, LoadPreservesLruOrderUnderEviction) {
-  SensitivityCache cache(4);
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(cache
-                    .GetOrCompute("p", "q" + std::to_string(i),
-                                  [i]() { return static_cast<double>(i); })
-                    .ok());
-  }
-  std::stringstream stream;
-  ASSERT_TRUE(cache.Save(stream).ok());
-
-  // Restore into a cache with room for only two entries: the two most
-  // recently used must survive (q2, q3), the cold ones must be evicted.
-  SensitivityCache tight(2);
-  ASSERT_TRUE(tight.Load(stream).ok());
-  EXPECT_EQ(tight.size(), 2u);
-  EXPECT_TRUE(tight.Contains("p", "q3"));
-  EXPECT_TRUE(tight.Contains("p", "q2"));
-  EXPECT_FALSE(tight.Contains("p", "q0"));
-  EXPECT_FALSE(tight.Contains("p", "q1"));
-}
-
-TEST(SensitivityCacheTest, LoadRejectsMalformedFiles) {
-  SensitivityCache cache(4);
-  std::stringstream missing_header("2.0\tp\x1fh\n");
-  EXPECT_EQ(cache.Load(missing_header).code(),
-            StatusCode::kInvalidArgument);
-  std::stringstream no_tab(
-      "# blowfish-sensitivity-cache v1\njust some text\n");
-  EXPECT_EQ(cache.Load(no_tab).code(), StatusCode::kInvalidArgument);
-  std::stringstream bad_value(
-      "# blowfish-sensitivity-cache v1\nNaNsense\tp\x1fh\n");
-  EXPECT_EQ(cache.Load(bad_value).code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(cache.size(), 0u);
-  // inf/nan/negative sensitivities are corruption, not values: an inf
-  // entry would admit and charge every matching query while releasing
-  // garbage.
-  for (const char* poison : {"inf", "nan", "-1"}) {
-    std::stringstream bad(std::string("# blowfish-sensitivity-cache v1\n") +
-                          poison + "\tp\x1fh\n");
-    EXPECT_EQ(cache.Load(bad).code(), StatusCode::kInvalidArgument)
-        << poison;
-    EXPECT_EQ(cache.size(), 0u);
-  }
-  // All-or-nothing: valid lines followed by a truncated/garbage tail
-  // (a crash mid-Save) must not be half-merged into the cache.
-  std::stringstream truncated(
-      "# blowfish-sensitivity-cache v1\n"
-      "2\tp\x1fh\n"
-      "1\tp\x1fS_T\n"
-      "3.5");  // tail cut mid-line: value written, tab + key lost
-  EXPECT_EQ(cache.Load(truncated).code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_FALSE(cache.Contains("p", "h"));
-}
-
-TEST(SensitivityCacheTest, FileRoundTripAndMissingFile) {
-  SensitivityCache cache(4);
-  ASSERT_TRUE(cache.GetOrCompute("p", "h", []() { return 8.0; }).ok());
-  const std::string path = ::testing::TempDir() + "/blowfish_cache_test";
-  ASSERT_TRUE(cache.SaveToFile(path).ok());
-  SensitivityCache restored(4);
-  ASSERT_TRUE(restored.LoadFromFile(path).ok());
-  EXPECT_TRUE(restored.Contains("p", "h"));
-  EXPECT_EQ(restored.LoadFromFile(path + ".does_not_exist").code(),
-            StatusCode::kNotFound);
-  std::remove(path.c_str());
-}
-
 TEST(SensitivityCacheTest, PolicyFingerprintSeparatesPolicies) {
   auto domain = std::make_shared<const Domain>(Domain::Line(16).value());
   Policy full = Policy::FullDomain(domain).value();
@@ -330,8 +227,8 @@ TEST(SensitivityCacheTest, ConstrainedAndUnconstrainedVariantsAreDistinct) {
   EXPECT_NE(SensitivityCache::PolicyFingerprint(unpinned), fp_low);
   EXPECT_NE(SensitivityCache::PolicyFingerprint(unpinned), fp_plain);
 
-  // Both variants of one shape live side by side and survive a
-  // Save/Load round-trip as separate entries with their own values.
+  // Both variants of one shape live side by side as separate entries,
+  // each with its own value.
   SensitivityCache cache(8);
   ASSERT_TRUE(cache
                   .GetOrCompute(fp_plain, "h_cells[0]",
@@ -342,18 +239,13 @@ TEST(SensitivityCacheTest, ConstrainedAndUnconstrainedVariantsAreDistinct) {
                                 []() -> StatusOr<double> { return 4.0; })
                   .ok());
   EXPECT_EQ(cache.size(), 2u);
-  std::stringstream stream;
-  ASSERT_TRUE(cache.Save(stream).ok());
-  SensitivityCache restored(8);
-  ASSERT_TRUE(restored.Load(stream).ok());
-  EXPECT_EQ(restored.size(), 2u);
   EXPECT_DOUBLE_EQ(
-      *restored.GetOrCompute(fp_plain, "h_cells[0]",
-                             []() -> StatusOr<double> { return -1.0; }),
+      *cache.GetOrCompute(fp_plain, "h_cells[0]",
+                          []() -> StatusOr<double> { return -1.0; }),
       2.0);
   EXPECT_DOUBLE_EQ(
-      *restored.GetOrCompute(fp_low, "h_cells[0]",
-                             []() -> StatusOr<double> { return -1.0; }),
+      *cache.GetOrCompute(fp_low, "h_cells[0]",
+                          []() -> StatusOr<double> { return -1.0; }),
       4.0);
 }
 

@@ -10,7 +10,6 @@ TEST(ServeConfigTest, ParsesHostAndTenantBlocks) {
       "# host section\n"
       "threads = 8\n"
       "cache_capacity = 512\n"
-      "cache_file = warm.cache\n"
       "seed = 99\n"
       "\n"
       "tenant = census\n"
@@ -32,7 +31,6 @@ TEST(ServeConfigTest, ParsesHostAndTenantBlocks) {
   ASSERT_TRUE(config.ok()) << config.status().ToString();
   EXPECT_EQ(config->threads, 8u);
   EXPECT_EQ(config->cache_capacity, 512u);
-  EXPECT_EQ(config->cache_file, "warm.cache");
   ASSERT_TRUE(config->seed.has_value());
   EXPECT_EQ(*config->seed, 99u);
   ASSERT_EQ(config->tenants.size(), 2u);
@@ -115,6 +113,16 @@ TEST(ServeConfigTest, RejectsMalformedInput) {
   EXPECT_NE(retired_scan.status().message().find("unknown tenant key 'scan'"),
             std::string::npos)
       << retired_scan.status().message();
+  // The retired `cache_file` key is an unknown host key: S(f, P) has no
+  // file source.
+  const auto retired_cache =
+      ParseServeConfig("cache_file = x\ntenant = t\npolicy = p\ncsv = c\n");
+  ASSERT_FALSE(retired_cache.ok());
+  EXPECT_EQ(retired_cache.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(
+      retired_cache.status().message().find("unknown host key 'cache_file'"),
+      std::string::npos)
+      << retired_cache.status().message();
   // Malformed session declarations.
   EXPECT_FALSE(
       ParseServeConfig("tenant = t\npolicy = p\ncsv = c\nsession = alice\n")

@@ -9,10 +9,10 @@
 //   blowfish_cli advise    --policy p.txt --eps 0.5
 //   blowfish_cli batch     --policy p.txt --csv data.csv
 //                          --requests reqs.txt [--threads 4] [--seed 7]
-//                          [--budget 10] [--cache_file warm.cache]
+//                          [--budget 10] [--ledger_file spend.ledger]
+//                          [--stream]
+//   blowfish_cli serve     --config host.cfg [--threads 4] [--seed 7]
 //                          [--ledger_file spend.ledger] [--stream]
-//   blowfish_cli serve     --config host.cfg [--threads 4]
-//                          [--cache_file warm.cache] [--stream]
 //   blowfish_cli sessions  --config host.cfg [--tenant name]
 //                          [--ledger_file spend.ledger]
 //   blowfish_cli remote    --port 7070 [--host 127.0.0.1]
@@ -30,6 +30,8 @@
 // does not own, as key=value (`range --lo 100 --hi 400` is the request
 // line `range eps=... lo=100 hi=400`), served through the same engine,
 // output, ledger and cache path. No answer leaves the CLI any other way.
+// Every other command reads a fixed set of flags (CommandFlags below)
+// and refuses any other flag before it reads a file.
 // The `advise` command prints the predicted per-range-query error of each
 // strategy under the policy (mech/error_models.h) without touching data.
 // The `batch` command serves a whole request file through one
@@ -41,10 +43,9 @@
 // every tenant's request batch is submitted asynchronously up front and
 // they interleave on one shared worker pool and one shared sensitivity
 // cache. The `sessions` command lists each tenant's open budget sessions
-// and remaining epsilon. `--cache_file` warm-starts the sensitivity
-// cache from a previous run and saves it back on exit; `--ledger_file`
-// (or a tenant's `ledger =` config key) does the same for budget spend,
-// so `sessions` reports epsilon spent across processes. `--stream`
+// and remaining epsilon. `--ledger_file` (or a tenant's `ledger =`
+// config key) loads budget spend from a previous run and saves it back
+// on exit, so `sessions` reports epsilon spent across processes. `--stream`
 // prints each query's response the moment it completes instead of
 // waiting for its whole batch. The query kinds `batch`/`serve` accept
 // are whatever the QueryOpRegistry holds (see src/engine/ops/) — this
@@ -233,7 +234,6 @@ StatusOr<ServeConfig> LoadServeConfig(Args& args) {
                               ParseNonNegativeInt(t, "--threads"));
     config.threads = static_cast<size_t>(threads);
   }
-  if (const char* f = args.Get("cache_file")) config.cache_file = f;
   if (const char* s = args.Get("seed")) {
     BLOWFISH_ASSIGN_OR_RETURN(uint64_t seed,
                               ParseNonNegativeInt(s, "--seed"));
@@ -298,8 +298,8 @@ int RunServe(Args& args) {
   }
   // One tenant failing (e.g. a lazy engine-construction error) must not
   // sink the others: their batches already executed — budget spent,
-  // noise drawn — so their results are delivered and the cache is still
-  // saved. The exit code reports the failure.
+  // noise drawn — so their results are delivered and their ledgers are
+  // still saved. The exit code reports the failure.
   bool any_tenant_failed = false;
   for (PendingBatch& batch : pending) {
     auto responses = batch.result.get();
@@ -329,10 +329,6 @@ int RunServe(Args& args) {
   // on what persists.
   Status saved = SaveHostState(**host, *config);
   if (!saved.ok()) return Fail(saved.ToString());
-  if (!config->cache_file.empty()) {
-    std::printf("# sensitivity cache saved to %s (%zu entries)\n",
-                config->cache_file.c_str(), (*host)->cache().size());
-  }
   for (const TenantConfig& tenant : config->tenants) {
     if (tenant.ledger_file.empty()) continue;
     // Construction failures have no accountant to flush (and were
@@ -693,25 +689,73 @@ int RunRemote(Args& args) {
 
 /// Flags a single-shot query command consumes itself; every other flag
 /// becomes a key=value on its request.
-bool IsCliOwnedFlag(const std::string& flag) {
-  static const std::set<std::string> kOwned = {
-      "policy", "csv",     "column", "columns",    "bin_width",   "eps",
-      "seed",   "threads", "budget", "cache_file", "ledger_file", "stream"};
-  return kOwned.count(flag) != 0;
+const std::set<std::string>& QueryCommandFlags() {
+  static const auto* kFlags = new std::set<std::string>{
+      "policy", "csv",     "column", "columns",     "bin_width", "eps",
+      "seed",   "threads", "budget", "ledger_file", "stream"};
+  return *kFlags;
+}
+
+/// The flags each named command reads; RunCli refuses any other.
+const std::map<std::string, std::set<std::string>>& CommandFlags() {
+  static const auto* kFlags =
+      new std::map<std::string, std::set<std::string>>{
+          {"advise", {"policy", "eps"}},
+          {"batch",
+           {"policy", "csv", "column", "columns", "bin_width", "eps", "seed",
+            "threads", "budget", "ledger_file", "stream", "requests"}},
+          {"serve", {"config", "threads", "seed", "ledger_file", "stream"}},
+          {"sessions", {"config", "tenant", "ledger_file"}},
+          {"remote",
+           {"host", "port", "policy", "tenant", "requests", "stream",
+            "pipeline", "trace_file", "trace_seed"}},
+          {"stats", {"host", "port", "metrics_file"}},
+          {"health", {"host", "port"}},
+          {"trace", {"files"}},
+      };
+  return *kFlags;
 }
 
 int RunCli(Args args) {
+  const QueryOpRegistry& registry = QueryOpRegistry::Global();
+  const auto command = CommandFlags().find(args.command);
+  const bool single_shot =
+      command == CommandFlags().end() && registry.Has(args.command);
+  if (command == CommandFlags().end() && !single_shot) {
+    return Fail("unknown command '" + args.command +
+                "' (query kinds: " + registry.KnownKindsString() + ")");
+  }
+  if (command != CommandFlags().end()) {
+    for (const auto& [flag, value] : args.flags) {
+      if (command->second.count(flag) == 0) {
+        std::string accepted;
+        for (const std::string& known : command->second) {
+          accepted += " --" + known;
+        }
+        return Fail("unknown flag '--" + flag + "' for " + args.command +
+                    " (accepted:" + accepted + ")");
+      }
+    }
+  }
   if (args.command == "serve") return RunServe(args);
   if (args.command == "sessions") return RunSessions(args);
   if (args.command == "remote") return RunRemote(args);
   if (args.command == "stats") return RunStats(args);
   if (args.command == "health") return RunHealth(args);
   if (args.command == "trace") return RunTrace(args);
-  const QueryOpRegistry& registry = QueryOpRegistry::Global();
-  const bool single_shot = registry.Has(args.command);
-  if (!single_shot && args.command != "advise" && args.command != "batch") {
-    return Fail("unknown command '" + args.command +
-                "' (query kinds: " + registry.KnownKindsString() + ")");
+
+  // A single-shot request is built before any file is read, so a bad
+  // flag costs no I/O. Its epsilon is set below, once the policy spec's
+  // default is known (--eps is a CLI flag, never a request key).
+  std::vector<QueryRequest> requests;
+  if (single_shot) {
+    std::vector<std::pair<std::string, std::string>> kv;
+    for (const auto& [flag, value] : args.flags) {
+      if (QueryCommandFlags().count(flag) == 0) kv.emplace_back(flag, value);
+    }
+    auto request = MakeQueryRequest(args.command, 0.0, kv);
+    if (!request.ok()) return Fail(request.status().ToString());
+    requests.push_back(std::move(*request));
   }
 
   const char* policy_path = args.Get("policy");
@@ -752,16 +796,8 @@ int RunCli(Args args) {
     return 0;
   }
 
-  // Built before the CSV is read, so a bad flag costs no ingestion.
-  std::vector<QueryRequest> requests;
   if (single_shot) {
-    std::vector<std::pair<std::string, std::string>> kv;
-    for (const auto& [flag, value] : args.flags) {
-      if (!IsCliOwnedFlag(flag)) kv.emplace_back(flag, value);
-    }
-    auto request = MakeQueryRequest(args.command, eps, kv);
-    if (!request.ok()) return Fail(request.status().ToString());
-    requests.push_back(std::move(*request));
+    requests[0].epsilon = eps;
   } else {
     const char* requests_path = args.Get("requests");
     if (requests_path == nullptr) return Fail("--requests <file> required");
@@ -806,14 +842,6 @@ int RunCli(Args args) {
   auto engine = ReleaseEngine::Create(policy, std::move(*data), options);
   if (!engine.ok()) return Fail(engine.status().ToString());
 
-  const char* cache_file = args.Get("cache_file");
-  if (cache_file != nullptr) {
-    Status loaded = (*engine)->cache().LoadFromFile(cache_file);
-    // A missing file is a cold start, not an error.
-    if (!loaded.ok() && loaded.code() != StatusCode::kNotFound) {
-      return Fail(loaded.ToString());
-    }
-  }
   const char* ledger_file = args.Get("ledger_file");
   if (ledger_file != nullptr) {
     Status loaded = (*engine)->accountant().LoadFromFile(ledger_file);
@@ -829,12 +857,6 @@ int RunCli(Args args) {
   if (!on_complete) PrintResponses(requests, responses);
   PrintCacheStats((*engine)->cache());
   std::printf("%s", (*engine)->accountant().ToString().c_str());
-  if (cache_file != nullptr) {
-    Status saved = (*engine)->cache().SaveToFile(cache_file);
-    if (!saved.ok()) return Fail(saved.ToString());
-    std::printf("# sensitivity cache saved to %s (%zu entries)\n",
-                cache_file, (*engine)->cache().size());
-  }
   if (ledger_file != nullptr) {
     Status saved = (*engine)->accountant().SaveToFile(ledger_file);
     if (!saved.ok()) return Fail(saved.ToString());
@@ -857,11 +879,10 @@ int main(int argc, char** argv) {
                  "       blowfish_cli batch    --policy <file> --csv <file> "
                  "--requests <file>\n"
                  "                             [--threads <n>] [--stream] "
-                 "[--cache_file <file>] [--ledger_file <file>]\n"
-                 "       blowfish_cli serve    --config <file> "
-                 "[--threads <n>] [--stream]\n"
-                 "                             [--cache_file <file>] "
                  "[--ledger_file <file>]\n"
+                 "       blowfish_cli serve    --config <file> "
+                 "[--threads <n>] [--seed <n>] [--stream]\n"
+                 "                             [--ledger_file <file>]\n"
                  "       blowfish_cli sessions --config <file> "
                  "[--tenant <name>] [--ledger_file <file>]\n"
                  "       blowfish_cli remote   --port <p> "

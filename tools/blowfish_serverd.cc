@@ -3,7 +3,6 @@
 //   blowfish_serverd --config host.cfg [--port 7070] [--bind 127.0.0.1]
 //                    [--threads 4] [--io_threads 2]
 //                    [--max_connections 10000] [--idle_timeout_ms 300000]
-//                    [--cache_file warm.cache]
 //                    [--print_port] [--metrics_file m.prom]
 //                    [--trace_file t.jsonl] [--audit_file a.jsonl]
 //
@@ -23,10 +22,9 @@
 //   * On SIGTERM/SIGINT the daemon drains gracefully: it stops
 //     accepting, lets every in-flight batch finish and flush its
 //     frames, joins the connection threads, then writes the budget
-//     ledgers and the sensitivity cache back to the config's files
-//     (server/host_builder.h, SaveHostState) before exiting 0 — a
-//     restarted daemon refuses what this process's clients already
-//     spent.
+//     ledgers back to the config's files (server/host_builder.h,
+//     SaveHostState) before exiting 0 — a restarted daemon refuses
+//     what this process's clients already spent.
 //   * Telemetry (docs/observability.md): every layer's counters live
 //     in the process-wide metrics registry, served over the wire by
 //     the STATS verb (`blowfish_cli stats`). SIGUSR1 dumps a
@@ -102,7 +100,6 @@ int Run(int argc, char** argv) {
   server_options.max_connections = 10000;
   server_options.idle_timeout_ms = 300000;
   std::string threads_override;
-  std::string cache_file_override;
   std::string metrics_file;
   std::string trace_file;
   std::string audit_file;
@@ -151,10 +148,6 @@ int Run(int argc, char** argv) {
       auto n = ParseNonNegativeInt(v, "--idle_timeout_ms");
       if (!n.ok()) return Fail(n.status().ToString());
       server_options.idle_timeout_ms = static_cast<int>(*n);
-    } else if (flag == "--cache_file") {
-      const char* v = value();
-      if (v == nullptr) return Fail("--cache_file needs a file");
-      cache_file_override = v;
     } else if (flag == "--metrics_file") {
       const char* v = value();
       if (v == nullptr) return Fail("--metrics_file needs a file");
@@ -174,8 +167,8 @@ int Run(int argc, char** argv) {
                   "' (usage: blowfish_serverd --config <file> [--port p] "
                   "[--bind addr] [--threads n] [--io_threads n] "
                   "[--max_connections n] [--idle_timeout_ms ms] "
-                  "[--cache_file f] [--print_port] [--metrics_file f] "
-                  "[--trace_file f] [--audit_file f])");
+                  "[--print_port] [--metrics_file f] [--trace_file f] "
+                  "[--audit_file f])");
     }
   }
   if (config_path.empty()) {
@@ -189,7 +182,6 @@ int Run(int argc, char** argv) {
     if (!threads.ok()) return Fail(threads.status().ToString());
     config->threads = static_cast<size_t>(*threads);
   }
-  if (!cache_file_override.empty()) config->cache_file = cache_file_override;
 
   // Open the tracer and audit log before the host exists so the very
   // first batch is traced and audited. Both go to the process-wide
