@@ -435,8 +435,9 @@ int Run(const std::string& json_path) {
   // must match exactly).
   constexpr size_t kOpQueries = 64;
   // quadtree reuses the 2-attribute first-batch workload: the 4 x 512 domain
-  // resolves at depth 9, so each release builds and noises a ~350k-node
-  // tree before answering the range count.
+  // resolves at depth 9 (a ~350k-node tree); each release counts and
+  // noises only the rectangle's canonical nodes and skips the rest of
+  // the tree's noise stream.
   double quadtree_qps = 0.0;
   bool quadtree_identity = true;
   {

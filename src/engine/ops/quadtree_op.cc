@@ -108,10 +108,9 @@ class QuadtreeOp final : public QueryOp {
     QuadtreeOptions opts = options_;
     opts.caller_calibrated_constraints = ctx.policy.has_constraints();
     BLOWFISH_ASSIGN_OR_RETURN(
-        QuadtreeMechanism released,
-        QuadtreeMechanism::Release(ctx.hist, ctx.policy, epsilon, opts,
-                                   rng));
-    BLOWFISH_ASSIGN_OR_RETURN(double answer, released.RangeCount(rect));
+        double answer,
+        QuadtreeMechanism::ReleaseRangeCount(ctx.hist, ctx.policy, epsilon,
+                                             opts, rng, rect));
     return std::vector<double>{answer};
   }
 

@@ -295,6 +295,10 @@ class ReleaseEngine {
   obs::Histogram* scan_latency_us_;
   std::map<std::string, std::unique_ptr<KindMetrics>> kind_metrics_;
   std::map<StatusCode, obs::Counter*> refusal_counters_;
+  /// Serializes ServeBatch. An EngineHost already hands a tenant's
+  /// batches over one at a time (its per-tenant strand); this guards
+  /// direct concurrent callers, and a host's inline ServeBatch from one
+  /// of its own pool workers.
   std::mutex serve_mu_;
 };
 

@@ -19,8 +19,9 @@ size_t DepthFor(uint64_t max_card) {
   return d;
 }
 
-/// Shared head of both Release overloads: validates the policy/options
-/// pair and resolves the padded layout. Writes depth/side on success.
+/// Shared head of Release and ReleaseRangeCount: validates the
+/// policy/options pair and resolves the padded layout. Writes
+/// depth/side on success.
 Status PlanRelease(const Policy& policy, double epsilon,
                    const QuadtreeOptions& opts, size_t* depth,
                    uint64_t* side) {
@@ -59,6 +60,70 @@ std::vector<std::vector<double>> EmptyLevels(size_t depth) {
   return levels;
 }
 
+Status CheckRectangle(const Rectangle& rect, uint64_t side) {
+  if (rect.lo.size() != 2 || rect.hi.size() != 2) {
+    return Status::InvalidArgument("quadtree rectangles are 2-D");
+  }
+  if (rect.lo[0] > rect.hi[0] || rect.lo[1] > rect.hi[1] ||
+      rect.hi[0] >= side || rect.hi[1] >= side) {
+    return Status::OutOfRange("rectangle outside the padded grid");
+  }
+  return Status::OK();
+}
+
+/// Canonical decomposition of the rectangle [x0,x1] x [y0,y1] in a
+/// depth-d tree: the sum of node_value(level, cx, cy) over the maximal
+/// nodes inside it, children visited in (dx, dy) order. Both release
+/// paths sum through this one recursion, so they add in the same
+/// floating-point order.
+template <typename NodeValue>
+double Decompose(size_t depth, size_t level, size_t cx, size_t cy,
+                 size_t x0, size_t x1, size_t y0, size_t y1,
+                 NodeValue& node_value) {
+  const size_t side = size_t{1} << (depth - level);
+  const size_t nx0 = cx * side, nx1 = nx0 + side - 1;
+  const size_t ny0 = cy * side, ny1 = ny0 + side - 1;
+  if (nx1 < x0 || nx0 > x1 || ny1 < y0 || ny0 > y1) return 0.0;  // disjoint
+  if (x0 <= nx0 && nx1 <= x1 && y0 <= ny0 && ny1 <= y1) {
+    return node_value(level, cx, cy);  // fully covered
+  }
+  assert(level < depth);  // leaves are single cells: covered or disjoint
+  double total = 0.0;
+  for (size_t dx = 0; dx < 2; ++dx) {
+    for (size_t dy = 0; dy < 2; ++dy) {
+      total += Decompose(depth, level + 1, 2 * cx + dx, 2 * cy + dy, x0, x1,
+                         y0, y1, node_value);
+    }
+  }
+  return total;
+}
+
+template <typename NodeValue>
+double Decompose(size_t depth, const Rectangle& rect,
+                 NodeValue&& node_value) {
+  return Decompose(depth, 0, 0, 0, rect.lo[0], rect.hi[0], rect.lo[1],
+                   rect.hi[1], node_value);
+}
+
+/// The levels released exactly: ExactLevelsForPolicy, except that
+/// pinned constraints disable the free levels entirely — a neighbour
+/// step's compensating moves may cross any partition cell, so no level
+/// is exact (the caller's group-privacy epsilon scaling covers the
+/// chained moves).
+size_t ExactLevels(const Policy& policy, size_t depth) {
+  const bool pinned =
+      policy.has_constraints() && policy.constraints().AnyPinned();
+  return pinned ? 0 : QuadtreeMechanism::ExactLevelsForPolicy(policy, depth);
+}
+
+/// Per-node noise scale when levels exact+1..depth are noised. A tuple
+/// move changes at most one node per level per endpoint (2 per level),
+/// so with per-level budget eps / (#noised levels) each node gets
+/// Lap(2 (#noised levels) / eps).
+double NoiseScale(size_t depth, size_t exact, double epsilon) {
+  return 2.0 * static_cast<double>(depth - exact) / epsilon;
+}
+
 }  // namespace
 
 size_t QuadtreeMechanism::ExactLevelsForPolicy(const Policy& policy,
@@ -85,44 +150,6 @@ size_t QuadtreeMechanism::ExactLevelsForPolicy(const Policy& policy,
   return exact;
 }
 
-StatusOr<QuadtreeMechanism> QuadtreeMechanism::FinishRelease(
-    std::vector<std::vector<double>> levels, size_t depth, uint64_t side,
-    const Policy& policy, double epsilon, Random& rng) {
-  // Aggregate upwards.
-  for (size_t l = depth; l-- > 0;) {
-    size_t w = size_t{1} << l;
-    size_t cw = w * 2;
-    for (size_t i = 0; i < w; ++i) {
-      for (size_t j = 0; j < w; ++j) {
-        levels[l][i * w + j] =
-            levels[l + 1][(2 * i) * cw + (2 * j)] +
-            levels[l + 1][(2 * i) * cw + (2 * j + 1)] +
-            levels[l + 1][(2 * i + 1) * cw + (2 * j)] +
-            levels[l + 1][(2 * i + 1) * cw + (2 * j + 1)];
-      }
-    }
-  }
-
-  // Exact levels under the policy; everything deeper gets noise. A tuple
-  // move changes at most one node per level per endpoint (2 per level),
-  // so with per-level budget eps / (#noised levels) each node gets
-  // Lap(2 (#noised levels) / eps). Pinned constraints disable the
-  // free-levels optimization entirely: a neighbour step's compensating
-  // moves may cross any partition cell, so no level is exact (the
-  // caller's group-privacy epsilon scaling covers the chained moves).
-  const bool pinned =
-      policy.has_constraints() && policy.constraints().AnyPinned();
-  const size_t exact = pinned ? 0 : ExactLevelsForPolicy(policy, depth);
-  const size_t noised = depth - exact;
-  if (noised > 0) {
-    const double scale = 2.0 * static_cast<double>(noised) / epsilon;
-    for (size_t l = exact + 1; l <= depth; ++l) {
-      for (double& v : levels[l]) v += rng.Laplace(scale);
-    }
-  }
-  return QuadtreeMechanism(side, exact, std::move(levels));
-}
-
 StatusOr<QuadtreeMechanism> QuadtreeMechanism::Release(
     const Dataset& data, const Policy& policy, double epsilon,
     const QuadtreeOptions& opts, Random& rng) {
@@ -139,12 +166,38 @@ StatusOr<QuadtreeMechanism> QuadtreeMechanism::Release(
     uint64_t y = dom.Coordinate(t, 1);
     levels[depth][x * side + y] += 1.0;
   }
-  return FinishRelease(std::move(levels), depth, side, policy, epsilon, rng);
+
+  // Aggregate upwards.
+  for (size_t l = depth; l-- > 0;) {
+    size_t w = size_t{1} << l;
+    size_t cw = w * 2;
+    for (size_t i = 0; i < w; ++i) {
+      for (size_t j = 0; j < w; ++j) {
+        levels[l][i * w + j] =
+            levels[l + 1][(2 * i) * cw + (2 * j)] +
+            levels[l + 1][(2 * i) * cw + (2 * j + 1)] +
+            levels[l + 1][(2 * i + 1) * cw + (2 * j)] +
+            levels[l + 1][(2 * i + 1) * cw + (2 * j + 1)];
+      }
+    }
+  }
+
+  // Exact levels under the policy; everything deeper gets noise, drawn
+  // level by level in storage order — the stream ReleaseRangeCount
+  // indexes into.
+  const size_t exact = ExactLevels(policy, depth);
+  if (exact < depth) {
+    const double scale = NoiseScale(depth, exact, epsilon);
+    for (size_t l = exact + 1; l <= depth; ++l) {
+      for (double& v : levels[l]) v += rng.Laplace(scale);
+    }
+  }
+  return QuadtreeMechanism(side, exact, std::move(levels));
 }
 
-StatusOr<QuadtreeMechanism> QuadtreeMechanism::Release(
+StatusOr<double> QuadtreeMechanism::ReleaseRangeCount(
     const Histogram& hist, const Policy& policy, double epsilon,
-    const QuadtreeOptions& opts, Random& rng) {
+    const QuadtreeOptions& opts, Random& rng, const Rectangle& rect) {
   size_t depth = 0;
   uint64_t side = 0;
   BLOWFISH_RETURN_IF_ERROR(PlanRelease(policy, epsilon, opts, &depth, &side));
@@ -152,50 +205,75 @@ StatusOr<QuadtreeMechanism> QuadtreeMechanism::Release(
   if (hist.size() != dom.size()) {
     return Status::InvalidArgument("histogram size does not match domain");
   }
-  std::vector<std::vector<double>> levels = EmptyLevels(depth);
-  for (ValueIndex v = 0; v < dom.size(); ++v) {
-    const double count = hist[v];
-    if (count == 0.0) continue;
-    uint64_t x = dom.Coordinate(v, 0);
-    uint64_t y = dom.Coordinate(v, 1);
-    levels[depth][x * side + y] += count;
-  }
-  return FinishRelease(std::move(levels), depth, side, policy, epsilon, rng);
-}
+  BLOWFISH_RETURN_IF_ERROR(CheckRectangle(rect, side));
 
-double QuadtreeMechanism::Decompose(size_t level, size_t cx, size_t cy,
-                                    size_t x0, size_t x1, size_t y0,
-                                    size_t y1) const {
-  const size_t d = depth();
-  const size_t side = size_t{1} << (d - level);
-  const size_t nx0 = cx * side, nx1 = nx0 + side - 1;
-  const size_t ny0 = cy * side, ny1 = ny0 + side - 1;
-  if (nx1 < x0 || nx0 > x1 || ny1 < y0 || ny0 > y1) return 0.0;  // disjoint
-  if (x0 <= nx0 && nx1 <= x1 && y0 <= ny0 && ny1 <= y1) {
-    // Fully covered: use this node's released value.
-    size_t w = size_t{1} << level;
-    return levels_[level][cx * w + cy];
-  }
-  assert(level < d);  // leaves are single cells: covered or disjoint
-  double total = 0.0;
-  for (size_t dx = 0; dx < 2; ++dx) {
-    for (size_t dy = 0; dy < 2; ++dy) {
-      total += Decompose(level + 1, 2 * cx + dx, 2 * cy + dy, x0, x1, y0,
-                         y1);
+  // Collect the canonical nodes, in the decomposition's visiting order.
+  struct Node {
+    size_t level, cx, cy;
+  };
+  std::vector<Node> nodes;
+  Decompose(depth, rect, [&nodes](size_t level, size_t cx, size_t cy) {
+    nodes.push_back({level, cx, cy});
+    return 0.0;
+  });
+
+  // Count each node from h(D) (value index x m1 + y), clipped to the
+  // domain: the padding is empty. Counts are integers below 2^53, so
+  // this sum equals the aggregated tree's in any order.
+  const uint64_t m0 = dom.attribute(0).cardinality;
+  const uint64_t m1 = dom.attribute(1).cardinality;
+  std::vector<double> values(nodes.size(), 0.0);
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    const Node& node = nodes[i];
+    const uint64_t width = uint64_t{1} << (depth - node.level);
+    const uint64_t x0 = node.cx * width, y0 = node.cy * width;
+    const uint64_t x1 = std::min(x0 + width, m0);
+    const uint64_t y1 = std::min(y0 + width, m1);
+    for (uint64_t x = x0; x < x1; ++x) {
+      for (uint64_t y = y0; y < y1; ++y) values[i] += hist[x * m1 + y];
     }
   }
-  return total;
+
+  // Noise the nodes below the exact levels. Release draws one Laplace
+  // per node of levels exact+1..depth in storage order, so node
+  // (l, cx, cy) takes draw sum_{l'=exact+1}^{l-1} 4^l' + cx 2^l + cy;
+  // walk the nodes in that order and skip the draws in between.
+  const size_t exact = ExactLevels(policy, depth);
+  if (exact < depth) {
+    const double scale = NoiseScale(depth, exact, epsilon);
+    std::vector<uint64_t> level_start(depth + 1, 0);
+    uint64_t drawn = 0;
+    for (size_t l = exact + 1; l <= depth; ++l) {
+      level_start[l] = drawn;
+      drawn += uint64_t{1} << (2 * l);
+    }
+    std::vector<std::pair<uint64_t, size_t>> draws;  // (position, node)
+    for (size_t i = 0; i < nodes.size(); ++i) {
+      const Node& node = nodes[i];
+      if (node.level <= exact) continue;
+      draws.emplace_back(
+          level_start[node.level] + (node.cx << node.level) + node.cy, i);
+    }
+    std::sort(draws.begin(), draws.end());
+    uint64_t next = 0;
+    for (const auto& [position, i] : draws) {
+      rng.SkipLaplace(position - next);
+      values[i] += rng.Laplace(scale);
+      next = position + 1;
+    }
+  }
+
+  // Sum through the same recursion RangeCount uses.
+  size_t k = 0;
+  return Decompose(depth, rect,
+                   [&](size_t, size_t, size_t) { return values[k++]; });
 }
 
 StatusOr<double> QuadtreeMechanism::RangeCount(const Rectangle& rect) const {
-  if (rect.lo.size() != 2 || rect.hi.size() != 2) {
-    return Status::InvalidArgument("quadtree rectangles are 2-D");
-  }
-  if (rect.lo[0] > rect.hi[0] || rect.lo[1] > rect.hi[1] ||
-      rect.hi[0] >= width_ || rect.hi[1] >= width_) {
-    return Status::OutOfRange("rectangle outside the padded grid");
-  }
-  return Decompose(0, 0, 0, rect.lo[0], rect.hi[0], rect.lo[1], rect.hi[1]);
+  BLOWFISH_RETURN_IF_ERROR(CheckRectangle(rect, width_));
+  return Decompose(depth(), rect, [this](size_t level, size_t cx, size_t cy) {
+    return levels_[level][(cx << level) + cy];
+  });
 }
 
 }  // namespace blowfish

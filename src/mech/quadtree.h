@@ -17,6 +17,14 @@
 // released *exactly*; only the d - l* deeper levels need noise. This is
 // the spatial analogue of Sec 5's "the histogram of P can be released
 // without any noise".
+//
+// Serving: the engine releases a fresh tree per rectangle query, and a
+// query reads only its rectangle's canonical nodes (at most a few
+// thousand of the ~350k in a 512 x 512 tree). ReleaseRangeCount
+// therefore counts just those nodes from h(D) and draws noise just for
+// them, skipping the rest of the release's noise stream — the same
+// bytes as building the whole tree and reading it, at a fraction of
+// the cost.
 
 #ifndef BLOWFISH_MECH_QUADTREE_H_
 #define BLOWFISH_MECH_QUADTREE_H_
@@ -57,17 +65,24 @@ class QuadtreeMechanism {
                                              const QuadtreeOptions& opts,
                                              Random& rng);
 
-  /// The same release fed from a complete histogram over the domain
-  /// (hist[v] tuples at value v) instead of raw rows — the engine's
-  /// memoized h(D), so query ops never row-walk the dataset themselves.
-  static StatusOr<QuadtreeMechanism> Release(const Histogram& hist,
-                                             const Policy& policy,
-                                             double epsilon,
-                                             const QuadtreeOptions& opts,
-                                             Random& rng);
+  /// One rectangle's count from a one-shot release fed by a complete
+  /// histogram over the domain (hist[v] tuples at value v, integer
+  /// counts — the engine's memoized h(D)). Returns, bit for bit, what
+  /// Release(D, ...).RangeCount(rect) returns for the same `rng` on the
+  /// dataset D with h(D) = hist, but never builds the tree: it counts
+  /// only the rectangle's canonical nodes from `hist`, and draws noise
+  /// only for the noised ones — skipping each gap in the release's
+  /// noise stream (levels exact+1..depth, row-major) with
+  /// Random::SkipLaplace. `rng` is left somewhere inside that stream.
+  static StatusOr<double> ReleaseRangeCount(const Histogram& hist,
+                                            const Policy& policy,
+                                            double epsilon,
+                                            const QuadtreeOptions& opts,
+                                            Random& rng,
+                                            const Rectangle& rect);
 
   /// Noisy count of tuples inside the rectangle (inclusive grid coords of
-  /// the *original* domain).
+  /// the *original* domain; it may reach into the padding).
   StatusOr<double> RangeCount(const Rectangle& rect) const;
 
   /// Depth d (levels 0..d).
@@ -86,17 +101,6 @@ class QuadtreeMechanism {
                     std::vector<std::vector<double>> levels)
       : width_(width), exact_levels_(exact_levels),
         levels_(std::move(levels)) {}
-
-  /// Shared tail of both Release overloads: aggregates the filled leaf
-  /// level upwards, picks the exact levels, noises the rest.
-  static StatusOr<QuadtreeMechanism> FinishRelease(
-      std::vector<std::vector<double>> levels, size_t depth, uint64_t side,
-      const Policy& policy, double epsilon, Random& rng);
-
-  /// Sum of released node values covering [x0,x1] x [y0,y1] at the
-  /// deepest usable granularity; recursive canonical decomposition.
-  double Decompose(size_t level, size_t cx, size_t cy, size_t x0, size_t x1,
-                   size_t y0, size_t y1) const;
 
   size_t width_;         // padded side 2^d
   size_t exact_levels_;  // levels 0..exact_levels_ are exact

@@ -720,12 +720,15 @@ void BlowfishServer::FinishBatchCollection(Connection* conn) {
         // pre-read owner pointer, not through conn.
         IoLoop* owner = conn->owner;
         conn->inflight.fetch_sub(1, std::memory_order_acq_rel);
-        total_inflight_.fetch_sub(1);
         {
           std::lock_guard<std::mutex> lk(owner->mu);
           owner->finish_q.push_back(conn);
         }
         owner->wakeup.Signal();
+        // Last touch of the server: once Stop() sees no batch in
+        // flight it joins the loops, and the destructor closes their
+        // wakeup fds, so the Signal above must come first.
+        total_inflight_.fetch_sub(1);
       });
 }
 

@@ -1,5 +1,7 @@
 #include "server/engine_host.h"
 
+#include <utility>
+
 #include "engine/batch_request.h"
 #include "util/random.h"
 
@@ -46,7 +48,13 @@ EngineHost::EngineHost(EngineHostOptions options)
       pool_(std::make_shared<ThreadPool>(options.num_threads,
                                          options.metrics)),
       cache_(std::make_shared<SensitivityCache>(options.cache_capacity,
-                                                options.metrics)) {}
+                                                options.metrics)) {
+  obs::MetricsRegistry* metrics = options.metrics != nullptr
+                                      ? options.metrics
+                                      : obs::MetricsRegistry::Global();
+  queue_wait_us_ = metrics->GetHistogram("host_queue_wait_us");
+  batches_queued_ = metrics->GetGauge("host_batches_queued");
+}
 
 EngineHost::~EngineHost() { Shutdown(); }
 
@@ -69,17 +77,18 @@ Status EngineHost::AddTenant(const std::string& policy_id,
   return Status::OK();
 }
 
+EngineHost::Tenant* EngineHost::FindTenant(const TenantKey& key) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = tenants_.find(key);
+  return it == tenants_.end() ? nullptr : it->second.get();
+}
+
 StatusOr<ReleaseEngine*> EngineHost::GetOrCreateEngine(
     const TenantKey& key) {
-  Tenant* tenant = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = tenants_.find(key);
-    if (it == tenants_.end()) {
-      return Status::NotFound("unknown tenant ('" + key.first + "', '" +
-                              key.second + "')");
-    }
-    tenant = it->second.get();
+  Tenant* tenant = FindTenant(key);
+  if (tenant == nullptr) {
+    return Status::NotFound("unknown tenant ('" + key.first + "', '" +
+                            key.second + "')");
   }
   // Per-tenant construction lock: a slow first construction (histogram
   // materialization) blocks only this tenant's batches, not the host.
@@ -120,22 +129,26 @@ std::future<StatusOr<std::vector<QueryResponse>>> EngineHost::SubmitBatch(
   obs::TraceWriter* tracer = options_.tracer != nullptr
                                  ? options_.tracer
                                  : obs::TraceWriter::Global();
-  const uint64_t enqueue_us =
-      tracer->enabled() ? obs::MonotonicMicros() : 0;
-  return pool_->Submit(
-      [this, key = TenantKey{policy_id, dataset_id},
-       requests = std::move(requests),
+  const TenantKey key{policy_id, dataset_id};
+  const uint64_t enqueue_us = obs::MonotonicMicros();
+  auto batch = std::make_shared<
+      std::packaged_task<StatusOr<std::vector<QueryResponse>>()>>(
+      [this, key, requests = std::move(requests),
        on_complete = std::move(on_complete),
        on_done = std::move(on_done), trace, tracer,
        enqueue_us]() -> StatusOr<std::vector<QueryResponse>> {
-        // Queue-wait span: time between SubmitBatch and a pool worker
-        // picking the batch up — emitted before serving so a reader
-        // sees the causal order queue_wait -> sensitivity -> execute.
-        if (enqueue_us != 0 && tracer->enabled()) {
+        // Queue wait: SubmitBatch to batch start — the pool queue plus
+        // the tenant's earlier batches. The span goes out before
+        // serving so a reader sees the causal order queue_wait ->
+        // sensitivity -> execute.
+        const uint64_t wait_us = obs::MonotonicMicros() - enqueue_us;
+        batches_queued_->Decrement();
+        queue_wait_us_->Observe(wait_us);
+        if (tracer->enabled()) {
           obs::TraceEvent span("queue_wait");
           span.Str("tenant", TenantMetricsScope(key.first, key.second))
               .Uint("ts_us", enqueue_us)
-              .Uint("dur_us", obs::MonotonicMicros() - enqueue_us);
+              .Uint("dur_us", wait_us);
           trace.Stamp(&span);
           tracer->Write(std::move(span));
         }
@@ -150,6 +163,46 @@ std::future<StatusOr<std::vector<QueryResponse>>> EngineHost::SubmitBatch(
         if (on_done) on_done(result);
         return result;
       });
+  std::future<StatusOr<std::vector<QueryResponse>>> future =
+      batch->get_future();
+  batches_queued_->Increment();
+  Tenant* tenant = FindTenant(key);
+  if (tenant == nullptr) {
+    // No strand to join: the batch reports NotFound from the pool.
+    pool_->Post([batch]() { (*batch)(); });
+    return future;
+  }
+  bool start_drain = false;
+  {
+    std::lock_guard<std::mutex> lock(tenant->strand_mu);
+    tenant->backlog.push_back([batch]() { (*batch)(); });
+    start_drain = !std::exchange(tenant->draining, true);
+  }
+  if (start_drain) pool_->Post([this, tenant]() { DrainStrand(tenant); });
+  return future;
+}
+
+void EngineHost::DrainStrand(Tenant* tenant) {
+  // One batch per turn, then a re-post: every tenant whose strand task
+  // queued meanwhile runs a batch before this tenant's next. Where the
+  // pool would run the re-post inline (zero workers, or after
+  // Shutdown()), loop instead, so a deep backlog never recurses.
+  do {
+    std::function<void()> batch;
+    {
+      std::lock_guard<std::mutex> lock(tenant->strand_mu);
+      batch = std::move(tenant->backlog.front());
+      tenant->backlog.pop_front();
+    }
+    batch();
+    {
+      std::lock_guard<std::mutex> lock(tenant->strand_mu);
+      if (tenant->backlog.empty()) {
+        tenant->draining = false;
+        return;
+      }
+    }
+  } while (!pool_->TryPost([this, tenant]() { DrainStrand(tenant); }));
 }
 
 StatusOr<std::vector<QueryResponse>> EngineHost::ServeBatch(

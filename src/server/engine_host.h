@@ -16,19 +16,26 @@
 // registration is cheap (AddTenant just parks the policy and dataset),
 // and a tenant that never receives traffic never materializes its
 // histogram. SubmitBatch returns a std::future immediately, so many
-// clients' batches interleave on the same workers. Determinism: a
-// query's noise is a pure function of (tenant seed, admission order) —
-// never of pool width or which worker executes it — so replaying the
-// same per-tenant batch sequence reproduces the same output for any
-// pool size. Admission order itself is only defined up to batch
-// arrival: two batches *for the same tenant* in flight at once race for
-// the engine's admission lock, so keep a tenant's batches sequential
-// (or in one batch) when bit-replayability across runs matters.
+// clients' batches interleave on the same workers.
+//
+// Each tenant has a FIFO strand: SubmitBatch appends the batch to the
+// tenant's queue, and at most one pool task drains that queue, one
+// batch per turn, re-posting itself after each batch — so tenants take
+// turns one batch at a time, and no worker ever waits behind a batch
+// of the same tenant (the workers stay free for a batch's own helper
+// tasks and for other tenants). Determinism: a query's noise is a pure
+// function of (tenant seed, admission order) — never of pool width or
+// which worker executes it — and a tenant's admission order is its
+// SubmitBatch call order, at any pool size. So replaying the same
+// per-tenant sequence of SubmitBatch calls reproduces the same output,
+// pipelined or not.
 
 #ifndef BLOWFISH_SERVER_ENGINE_HOST_H_
 #define BLOWFISH_SERVER_ENGINE_HOST_H_
 
 #include <cstdint>
+#include <deque>
+#include <functional>
 #include <future>
 #include <map>
 #include <memory>
@@ -52,9 +59,9 @@
 namespace blowfish {
 
 struct EngineHostOptions {
-  /// Workers in the shared pool. Zero is allowed (all batches run on
-  /// their submitting thread — SubmitBatch futures then complete
-  /// inline).
+  /// Workers in the shared pool. Zero is allowed (batches run on their
+  /// submitting thread — SubmitBatch futures then complete inline, with
+  /// the one exception SubmitBatch documents).
   size_t num_threads = 4;
   /// Capacity of the process-wide shared SensitivityCache.
   size_t cache_capacity = 1024;
@@ -113,13 +120,14 @@ class EngineHost {
                    const std::string& dataset_id, Policy policy,
                    Dataset data, TenantOptions options = {});
 
-  /// Enqueues a batch for a tenant and returns immediately; the future
-  /// delivers the responses (or NotFound for an unknown tenant /
-  /// InvalidArgument for a tenant whose engine failed to construct).
-  /// Batches for one tenant are served in the order the pool dequeues
-  /// them; different tenants' batches interleave freely. Do not block on
-  /// the future from a task running on this host's own pool — the batch
-  /// is queued behind you; use ServeBatch, which runs inline there.
+  /// Enqueues a batch on its tenant's strand and returns immediately;
+  /// the future delivers the responses (or NotFound for an unknown
+  /// tenant / InvalidArgument for a tenant whose engine failed to
+  /// construct). A tenant's batches are admitted one at a time, in
+  /// SubmitBatch call order; different tenants' batches interleave, one
+  /// batch per tenant per turn. Do not block on the future from a task
+  /// running on this host's own pool — the batch may be queued behind
+  /// you; use ServeBatch, which runs inline there.
   ///
   /// `on_complete`, when set, streams each query's response as it
   /// finishes, ahead of the future (engine/release_engine.h documents
@@ -131,14 +139,17 @@ class EngineHost {
   ///
   /// `trace`, when valid, is the batch's wire-propagated trace context
   /// (threaded into the engine's spans and audit lines); the host also
-  /// emits a "queue_wait" span covering enqueue -> pool pickup.
+  /// emits a "queue_wait" span covering SubmitBatch -> batch start, the
+  /// interval host_queue_wait_us records with tracing off too.
   ///
   /// `on_done`, when set, receives the same value the future will
   /// carry, on the serving pool thread, before the future resolves —
   /// including the pre-engine failures (unknown tenant, construction
   /// error) that never fire on_complete. With a zero-thread pool the
   /// whole batch (and therefore on_done) runs inline on the submitting
-  /// thread before SubmitBatch returns.
+  /// thread before SubmitBatch returns — unless another thread is
+  /// already draining the same tenant's strand: the batch then runs on
+  /// that thread, after SubmitBatch returns.
   std::future<StatusOr<std::vector<QueryResponse>>> SubmitBatch(
       const std::string& policy_id, const std::string& dataset_id,
       std::vector<QueryRequest> requests,
@@ -195,7 +206,7 @@ class EngineHost {
   std::vector<TenantBudget> BudgetSnapshot() const;
 
   /// Stops the pool after draining queued batches. Idempotent; batches
-  /// submitted afterwards run inline on the submitting thread.
+  /// submitted afterwards run inline, as on a zero-thread pool.
   void Shutdown();
 
  private:
@@ -211,13 +222,30 @@ class EngineHost {
     /// later batch.
     Status create_error;
     std::mutex mu;
+
+    /// The strand: batches submitted but not started, in SubmitBatch
+    /// order, and whether a pool task owns them (posted or running).
+    std::mutex strand_mu;
+    std::deque<std::function<void()>> backlog;
+    bool draining = false;
   };
 
   StatusOr<ReleaseEngine*> GetOrCreateEngine(const TenantKey& key);
 
+  /// The tenant's registry entry, or nullptr. Entries live as long as
+  /// the host.
+  Tenant* FindTenant(const TenantKey& key) const;
+
+  /// The strand's pool task: serves the tenant's next batch, then
+  /// re-posts itself while batches remain.
+  void DrainStrand(Tenant* tenant);
+
   EngineHostOptions options_;
   std::shared_ptr<ThreadPool> pool_;
   std::shared_ptr<SensitivityCache> cache_;
+  /// Resolved once in the constructor; never null.
+  obs::Histogram* queue_wait_us_;
+  obs::Gauge* batches_queued_;
   mutable std::mutex mu_;  // guards tenants_ (the map, not the entries)
   std::map<TenantKey, std::unique_ptr<Tenant>> tenants_;
 };

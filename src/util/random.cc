@@ -35,6 +35,8 @@ double Random::Laplace(double scale) {
   return -scale * sign * std::log(1.0 - 2.0 * std::fabs(u));
 }
 
+void Random::SkipLaplace(uint64_t n) { gen_.discard(n); }
+
 std::vector<double> Random::LaplaceVector(size_t n, double scale) {
   std::vector<double> out(n);
   for (size_t i = 0; i < n; ++i) out[i] = Laplace(scale);

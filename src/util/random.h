@@ -46,6 +46,12 @@ class Random {
   /// Vector of `n` independent Laplace(scale) draws.
   std::vector<double> LaplaceVector(size_t n, double scale);
 
+  /// Advances the stream past `n` Laplace draws without computing them:
+  /// the next Laplace() returns what it would after `n` Laplace() calls.
+  /// Each draw consumes exactly one engine output, so this is
+  /// engine().discard(n).
+  void SkipLaplace(uint64_t n);
+
   /// Gaussian draw with the given mean and standard deviation.
   double Gaussian(double mean, double stddev);
 

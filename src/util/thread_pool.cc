@@ -25,19 +25,22 @@ bool ThreadPool::IsWorkerThread() const {
 
 ThreadPool::~ThreadPool() { Shutdown(); }
 
+bool ThreadPool::Enqueue(std::function<void()>& task) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (shutdown_ || workers_.empty()) return false;
+  queue_.push_back(std::move(task));
+  queue_depth_gauge_->Increment();
+  // Notify under the lock: a worker observing shutdown_ between our
+  // push and an unlocked notify could otherwise exit and strand the
+  // task (Shutdown drains, so in practice only ordering matters).
+  wake_.notify_one();
+  return true;
+}
+
+bool ThreadPool::TryPost(std::function<void()> task) { return Enqueue(task); }
+
 void ThreadPool::Post(std::function<void()> task) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!shutdown_ && !workers_.empty()) {
-      queue_.push_back(std::move(task));
-      queue_depth_gauge_->Increment();
-      // Notify under the lock: a worker observing shutdown_ between our
-      // push and an unlocked notify could otherwise exit and strand the
-      // task (Shutdown drains, so in practice only ordering matters).
-      wake_.notify_one();
-      return;
-    }
-  }
+  if (Enqueue(task)) return;
   // Shut down or zero-threaded: run inline so the caller's future is
   // always fulfilled.
   {

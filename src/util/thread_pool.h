@@ -12,6 +12,8 @@
 // Semantics:
 //   * Submit(f) enqueues a callable and returns a std::future for its
 //     result; Post(f) is the fire-and-forget variant (no future overhead).
+//     TryPost(f) queues f only if a worker will run it, and otherwise
+//     hands the work back to the caller (returns false).
 //   * Shutdown() stops intake, drains every task already queued, and joins
 //     the workers; it is idempotent and runs from the destructor.
 //   * After Shutdown() — and on a pool constructed with zero threads —
@@ -71,6 +73,12 @@ class ThreadPool {
   /// Enqueues a fire-and-forget task.
   void Post(std::function<void()> task);
 
+  /// Enqueues `task` for a worker and returns true. Returns false, and
+  /// drops `task` unrun, where Post would run it inline (zero threads,
+  /// or after Shutdown()): a task that re-posts itself loops instead,
+  /// so a long chain never recurses.
+  bool TryPost(std::function<void()> task);
+
   /// Enqueues a callable and returns a future for its result. The future
   /// also delivers exceptions thrown by the callable (the library itself
   /// is exception-free, but the pool does not swallow them).
@@ -96,6 +104,9 @@ class ThreadPool {
 
  private:
   void WorkerLoop();
+
+  /// Queues `task` (moving from it) unless the pool runs tasks inline.
+  bool Enqueue(std::function<void()>& task);
 
   mutable std::mutex mu_;
   std::condition_variable wake_;

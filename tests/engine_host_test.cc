@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <future>
+#include <memory>
+#include <mutex>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "core/constraints.h"
@@ -35,6 +40,28 @@ Dataset MakeData(const std::shared_ptr<const Domain>& domain, size_t n,
 
 QueryRequest HistogramRequest(double eps) {
   return MakeQueryRequest("histogram", eps).value();
+}
+
+/// Parks one of the host's pool workers until the returned gate is
+/// opened (set_value).
+std::promise<void> ParkWorker(EngineHost& host) {
+  std::promise<void> gate;
+  host.pool().Post([opened = gate.get_future().share()]() { opened.wait(); });
+  return gate;
+}
+
+/// Blocks until `pool` runs posted tasks inline, i.e. its Shutdown() has
+/// begun. Probes posted before that run later on a worker, harmlessly.
+void WaitUntilPostRunsInline(ThreadPool& pool) {
+  const std::thread::id self = std::this_thread::get_id();
+  while (true) {
+    auto ran_here = std::make_shared<std::atomic<bool>>(false);
+    pool.Post([ran_here, self]() {
+      if (std::this_thread::get_id() == self) ran_here->store(true);
+    });
+    if (ran_here->load()) return;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
 }
 
 TEST(EngineHostTest, ServesARegisteredTenant) {
@@ -333,6 +360,123 @@ TEST(EngineHostTest, ServeBatchFromOwnPoolWorkerDoesNotDeadlock) {
   auto responses = nested.get();
   ASSERT_TRUE(responses.ok()) << responses.status().ToString();
   EXPECT_TRUE((*responses)[0].status.ok());
+}
+
+TEST(EngineHostTest, StrandStartsTenantsInTurnsOnOneWorker) {
+  // Tenant a's three batches queue on its strand before tenant b's one;
+  // the only worker then serves a batch per tenant per turn. With one
+  // worker, completion order is start order.
+  auto domain = LineDomain(8);
+  Policy policy = Policy::FullDomain(domain).value();
+  obs::MetricsRegistry registry;
+  EngineHostOptions options;
+  options.num_threads = 1;
+  options.metrics = &registry;
+  EngineHost host(options);
+  ASSERT_TRUE(host.AddTenant("p", "a", policy, MakeData(domain, 50)).ok());
+  ASSERT_TRUE(host.AddTenant("p", "b", policy, MakeData(domain, 50)).ok());
+
+  std::mutex mu;
+  std::vector<std::string> order;
+  auto submit = [&](const std::string& tenant, const std::string& name) {
+    return host.SubmitBatch("p", tenant, {HistogramRequest(0.1)},
+                            [&mu, &order, name](size_t,
+                                                const QueryResponse&) {
+                              std::lock_guard<std::mutex> lock(mu);
+                              order.push_back(name);
+                            });
+  };
+  std::promise<void> gate = ParkWorker(host);
+  std::vector<std::future<StatusOr<std::vector<QueryResponse>>>> pending;
+  pending.push_back(submit("a", "A1"));
+  pending.push_back(submit("a", "A2"));
+  pending.push_back(submit("a", "A3"));
+  pending.push_back(submit("b", "B1"));
+  obs::Gauge* queued = registry.GetGauge("host_batches_queued");
+  EXPECT_EQ(queued->Value(), 4);  // submitted, none started
+  gate.set_value();
+  for (auto& f : pending) {
+    auto responses = f.get();
+    ASSERT_TRUE(responses.ok()) << responses.status().ToString();
+    EXPECT_TRUE((*responses)[0].status.ok());
+  }
+  EXPECT_EQ(order, (std::vector<std::string>{"A1", "B1", "A2", "A3"}));
+  EXPECT_EQ(queued->Value(), 0);
+  EXPECT_EQ(registry.GetHistogram("host_queue_wait_us")->Aggregate().count,
+            4u);
+}
+
+TEST(EngineHostTest, QueuedBatchNeverHoldsAWorker) {
+  // A1 blocks in its completion callback on the first of two workers.
+  // A2 must wait on tenant a's strand, not on a worker, so tenant b's
+  // B1 still finds the second one.
+  auto domain = LineDomain(8);
+  Policy policy = Policy::FullDomain(domain).value();
+  EngineHostOptions options;
+  options.num_threads = 2;
+  EngineHost host(options);
+  ASSERT_TRUE(host.AddTenant("p", "a", policy, MakeData(domain, 50)).ok());
+  ASSERT_TRUE(host.AddTenant("p", "b", policy, MakeData(domain, 50)).ok());
+
+  std::promise<void> a1_running;
+  std::promise<void> release_a1;
+  auto a1 = host.SubmitBatch(
+      "p", "a", {HistogramRequest(0.1)},
+      [&a1_running, release = release_a1.get_future().share()](
+          size_t, const QueryResponse&) {
+        a1_running.set_value();
+        release.wait();
+      });
+  a1_running.get_future().wait();
+  auto a2 = host.SubmitBatch("p", "a", {HistogramRequest(0.1)});
+  auto b1 = host.SubmitBatch("p", "b", {HistogramRequest(0.1)});
+  const bool b1_done = b1.wait_for(std::chrono::seconds(10)) ==
+                       std::future_status::ready;
+  release_a1.set_value();
+  EXPECT_TRUE(b1_done) << "B1 waited for a worker held by tenant a";
+  for (auto* f : {&a1, &a2, &b1}) {
+    auto responses = f->get();
+    ASSERT_TRUE(responses.ok()) << responses.status().ToString();
+    EXPECT_TRUE((*responses)[0].status.ok());
+  }
+}
+
+TEST(EngineHostTest, DeepBacklogDrainsInALoopAfterShutdown) {
+  // 20,000 batches queue on one strand behind the parked only worker,
+  // then the pool shuts down, so every re-post of the strand would run
+  // inline. The strand must loop rather than recurse: a recursive drain
+  // this deep overflows the stack under ASan.
+  auto domain = LineDomain(4);
+  Policy policy = Policy::FullDomain(domain).value();
+  obs::MetricsRegistry registry;
+  EngineHostOptions options;
+  options.num_threads = 1;
+  options.metrics = &registry;
+  EngineHost host(options);
+  TenantOptions tenant;
+  tenant.default_session_budget = 1e9;
+  ASSERT_TRUE(
+      host.AddTenant("p", "d", policy, MakeData(domain, 20), tenant).ok());
+
+  std::promise<void> gate = ParkWorker(host);
+  constexpr size_t kBatches = 20000;
+  std::vector<std::future<StatusOr<std::vector<QueryResponse>>>> pending;
+  pending.reserve(kBatches);
+  for (size_t i = 0; i < kBatches; ++i) {
+    pending.push_back(host.SubmitBatch("p", "d", {HistogramRequest(0.001)}));
+  }
+  std::thread stopper([&host]() { host.Shutdown(); });
+  WaitUntilPostRunsInline(host.pool());
+  gate.set_value();
+  stopper.join();
+  size_t served = 0;
+  for (auto& f : pending) {
+    ASSERT_EQ(f.wait_for(std::chrono::seconds(0)), std::future_status::ready);
+    auto responses = f.get();
+    if (responses.ok() && (*responses)[0].status.ok()) ++served;
+  }
+  EXPECT_EQ(served, kBatches);
+  EXPECT_EQ(registry.GetGauge("host_batches_queued")->Value(), 0);
 }
 
 TEST(EngineHostTest, NonFiniteTenantBudgetRefusedAtFirstBatch) {

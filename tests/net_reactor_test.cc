@@ -295,17 +295,15 @@ TEST(NetReactorTest, PipelinedWireIsBitIdenticalAcrossPoolSizes) {
     ASSERT_TRUE(r1.ok()) << context << ": " << r1.status().ToString();
     ASSERT_TRUE(r2.ok()) << context << ": " << r2.status().ToString();
 
-    // On a racing pool either batch may reach the engine first, but
-    // batches are SERIALIZED against each other there, so the engine
-    // saw some definite order — recover it from the charge ids (the
-    // accountant's ledger counter is monotone) and replay it
-    // in-process. With pool <= 1 this always recovers submission
-    // order, pinning the replay trick itself against drift.
+    // A tenant's batches are admitted in submission order at every
+    // pool size (the host's per-tenant strand), so the charge ids (the
+    // accountant's ledger counter is monotone) put batch one first,
+    // and a sequential in-process replay reproduces both.
     ASSERT_FALSE(r1->empty());
     ASSERT_FALSE(r2->empty());
     const bool one_first =
         (*r1)[0].receipt.charge_id < (*r2)[0].receipt.charge_id;
-    if (pool <= 1) EXPECT_TRUE(one_first) << context;
+    EXPECT_TRUE(one_first) << context;
 
     auto local_host = MakeHost(pool);
     auto submit = [&](const char* text) {
@@ -315,13 +313,11 @@ TEST(NetReactorTest, PipelinedWireIsBitIdenticalAcrossPoolSizes) {
           ->SubmitBatch(kPolicyId, kTenantA, std::move(*requests))
           .get();
     };
-    auto local_first = submit(one_first ? kBatchOne : kBatchTwo);
-    auto local_second = submit(one_first ? kBatchTwo : kBatchOne);
-    ASSERT_TRUE(local_first.ok() && local_second.ok());
-    ExpectResponsesEqual(*r1, one_first ? *local_first : *local_second,
-                         context + ", batch one");
-    ExpectResponsesEqual(*r2, one_first ? *local_second : *local_first,
-                         context + ", batch two");
+    auto local_one = submit(kBatchOne);
+    auto local_two = submit(kBatchTwo);
+    ASSERT_TRUE(local_one.ok() && local_two.ok());
+    ExpectResponsesEqual(*r1, *local_one, context + ", batch one");
+    ExpectResponsesEqual(*r2, *local_two, context + ", batch two");
 
     EXPECT_TRUE((*client)->Bye().ok());
     (*server)->Stop();

@@ -68,6 +68,17 @@ TEST(RandomTest, LaplaceMoments) {
   EXPECT_NEAR(Variance(draws), 2.0 * scale * scale, 0.3);
 }
 
+// SkipLaplace(k) lands where k Laplace() draws would: across the
+// engine's 312-word state blocks, and past a whole 512 x 512 quadtree.
+TEST(RandomTest, SkipLaplaceMatchesDrawing) {
+  for (uint64_t k : {0u, 1u, 311u, 312u, 313u, 349524u}) {
+    Random drawn(2014), skipped(2014);
+    for (uint64_t i = 0; i < k; ++i) drawn.Laplace(1.5);
+    skipped.SkipLaplace(k);
+    EXPECT_EQ(drawn.Laplace(1.5), skipped.Laplace(1.5)) << "k = " << k;
+  }
+}
+
 // P(|Z| > t) = exp(-t/b) for Laplace; at t = b ln 2 the tail mass is 1/2.
 TEST(RandomTest, LaplaceTailProbability) {
   Random rng(9);

@@ -7,8 +7,9 @@
 //  * under an aligned uniform-grid partition policy the coarse levels
 //    are released EXACTLY (the spatial analogue of "the histogram of P
 //    can be released without noise"), under the full graph no level is;
-//  * the histogram-fed Release overload — the form the engine's memo
-//    feeds — is byte-identical to the row-walking Dataset overload;
+//  * ReleaseRangeCount — the one-rectangle form the engine's memo
+//    feeds, which noises only the rectangle's canonical nodes — returns
+//    bit for bit what the row-walking full-tree release answers;
 //  * pinned constraints disable the free levels (a compensating move is
 //    not confined to a partition cell) and are accepted only when the
 //    caller declares it has group-privacy-scaled epsilon, which is what
@@ -21,6 +22,7 @@
 #include <cmath>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/constraints.h"
@@ -127,41 +129,114 @@ TEST(QuadtreeMechanismTest, AlignedPartitionLevelsAreExactFullGraphNoisy) {
   EXPECT_EQ(QuadtreeMechanism::ExactLevelsForPolicy(partition, 3), 1u);
 }
 
-TEST(QuadtreeMechanismTest, HistogramOverloadMatchesDatasetOverload) {
-  // The histogram-fed form must be indistinguishable from the row walk:
-  // same policy, same epsilon, same rng seed -> bit-identical trees,
-  // probed through rectangle counts.
-  auto domain = GridDomain(8);
-  Dataset data = MakeData(domain, 150, 23);
-  Policy policy = Policy::GridPartition(domain, {2, 2}).value();
-  QuadtreeOptions opts;
+TEST(QuadtreeMechanismTest, ReleaseRangeCountMatchesFullTreeBitForBit) {
+  // The one-shot form must answer exactly what the full tree answers:
+  // same policy, epsilon and rng seed -> the same double, on random
+  // rectangles that reach into the padding. A 12 x 10 domain pads to
+  // 16 x 16 (64 x 64 at depth=6).
+  auto domain = std::make_shared<const Domain>(
+      Domain::Create({Attribute{"x", 12, 1.0}, Attribute{"y", 10, 1.0}})
+          .value());
+  Dataset data = MakeData(domain, 400, 23);
+  const Histogram hist = CompleteHistogram(data);
+  auto grid = [&](std::vector<uint64_t> cells) {
+    return Policy::GridPartition(domain, std::move(cells)).value();
+  };
+  auto part = PartitionGraph::UniformGrid(domain, {3, 3}).value();
+  ConstraintSet cs;
+  CountQuery corner("corner", [&](ValueIndex x) {
+    return domain->Coordinate(x, 0) < 2 && domain->Coordinate(x, 1) < 2;
+  });
+  const uint64_t answer = corner.Evaluate(data);
+  cs.AddWithAnswer(std::move(corner), answer);
+  const Policy pinned =
+      Policy::Create(domain,
+                     std::shared_ptr<const SecretGraph>(part.release()),
+                     std::move(cs))
+          .value();
 
-  Random rows_rng(kSeed + 1);
-  auto from_rows =
-      QuadtreeMechanism::Release(data, policy, 0.25, opts, rows_rng);
-  ASSERT_TRUE(from_rows.ok()) << from_rows.status().ToString();
-  Random hist_rng(kSeed + 1);
-  auto from_hist = QuadtreeMechanism::Release(
-      CompleteHistogram(data), policy, 0.25, opts, hist_rng);
-  ASSERT_TRUE(from_hist.ok()) << from_hist.status().ToString();
+  struct Shape {
+    const char* name;
+    Policy policy;
+    QuadtreeOptions opts;
+    size_t exact;  // levels released without noise
+  };
+  QuadtreeOptions calibrated;
+  calibrated.caller_calibrated_constraints = true;
+  QuadtreeOptions deep;
+  deep.depth = 6;
+  const std::vector<Shape> shapes = {
+      {"full graph",
+       Policy::Create(domain, std::make_shared<FullGraph>(domain->size()))
+           .value(),
+       {}, 0},
+      {"misaligned partition", grid({4, 5}), {}, 0},
+      {"aligned partition", grid({3, 3}), {}, 2},
+      {"finest partition", grid({12, 10}), {}, 4},
+      {"pinned", pinned, calibrated, 0},
+      {"aligned, depth=6", grid({3, 3}), deep, 4},
+  };
 
-  EXPECT_EQ(from_rows->exact_levels(), from_hist->exact_levels());
-  Random probe_rng(99);
-  for (int probe = 0; probe < 32; ++probe) {
-    size_t x0 = static_cast<size_t>(probe_rng.UniformInt(0, 7));
-    size_t x1 = static_cast<size_t>(probe_rng.UniformInt(0, 7));
-    size_t y0 = static_cast<size_t>(probe_rng.UniformInt(0, 7));
-    size_t y1 = static_cast<size_t>(probe_rng.UniformInt(0, 7));
-    if (x0 > x1) std::swap(x0, x1);
-    if (y0 > y1) std::swap(y0, y1);
-    Rectangle rect;
-    rect.lo = {x0, y0};
-    rect.hi = {x1, y1};
-    auto a = from_rows->RangeCount(rect);
-    auto b = from_hist->RangeCount(rect);
-    ASSERT_TRUE(a.ok() && b.ok());
-    EXPECT_EQ(*a, *b) << "probe " << probe;  // bit-exact, not approximate
+  Random probe(99);
+  size_t compared = 0;
+  for (const Shape& shape : shapes) {
+    SCOPED_TRACE(shape.name);
+    for (uint64_t seed = kSeed; seed < kSeed + 4; ++seed) {
+      Random tree_rng(seed);
+      auto tree = QuadtreeMechanism::Release(data, shape.policy, 0.25,
+                                             shape.opts, tree_rng);
+      ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+      ASSERT_EQ(tree->exact_levels(), shape.exact);
+      const int64_t last = (int64_t{1} << tree->depth()) - 1;
+      for (int r = 0; r < 160; ++r) {
+        uint64_t x0 = static_cast<uint64_t>(probe.UniformInt(0, last));
+        uint64_t x1 = static_cast<uint64_t>(probe.UniformInt(0, last));
+        uint64_t y0 = static_cast<uint64_t>(probe.UniformInt(0, last));
+        uint64_t y1 = static_cast<uint64_t>(probe.UniformInt(0, last));
+        if (x0 > x1) std::swap(x0, x1);
+        if (y0 > y1) std::swap(y0, y1);
+        Rectangle rect;
+        rect.lo = {x0, y0};
+        rect.hi = {x1, y1};
+        auto want = tree->RangeCount(rect);
+        Random rng(seed);
+        auto got = QuadtreeMechanism::ReleaseRangeCount(
+            hist, shape.policy, 0.25, shape.opts, rng, rect);
+        ASSERT_TRUE(want.ok() && got.ok());
+        // Bit-exact, not approximate.
+        ASSERT_EQ(*got, *want) << "seed " << seed << " rect [" << x0 << ","
+                               << x1 << "]x[" << y0 << "," << y1 << "]";
+        ++compared;
+      }
+    }
   }
+  EXPECT_EQ(compared, 3840u);
+
+  // Refusals match the full-tree path's: a rectangle past the padded
+  // grid, a non-positive epsilon, and an uncalibrated pinned policy.
+  const Policy aligned = grid({3, 3});
+  Rectangle outside;
+  outside.lo = {0, 0};
+  outside.hi = {16, 3};
+  Random rng(kSeed);
+  EXPECT_EQ(QuadtreeMechanism::ReleaseRangeCount(hist, aligned, 0.25, {},
+                                                 rng, outside)
+                .status()
+                .code(),
+            StatusCode::kOutOfRange);
+  Rectangle inside;
+  inside.lo = {0, 0};
+  inside.hi = {3, 3};
+  EXPECT_EQ(QuadtreeMechanism::ReleaseRangeCount(hist, aligned, 0.0, {}, rng,
+                                                 inside)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(QuadtreeMechanism::ReleaseRangeCount(hist, pinned, 0.25, {}, rng,
+                                                 inside)
+                .status()
+                .code(),
+            StatusCode::kUnimplemented);
 }
 
 TEST(QuadtreeMechanismTest, PinnedConstraintsGateAcceptanceAndFreeLevels) {

@@ -78,6 +78,24 @@ TEST(ThreadPoolTest, ZeroThreadsIsAnInlineExecutor) {
   EXPECT_EQ(pool.tasks_executed(), 1u);
 }
 
+TEST(ThreadPoolTest, TryPostQueuesOnlyForAWorker) {
+  // Where Post would run a task inline, TryPost refuses it unrun.
+  bool ran = false;
+  ThreadPool inline_pool(0);
+  EXPECT_FALSE(inline_pool.TryPost([&ran]() { ran = true; }));
+  ThreadPool stopped(1);
+  stopped.Shutdown();
+  EXPECT_FALSE(stopped.TryPost([&ran]() { ran = true; }));
+  EXPECT_FALSE(ran);
+
+  ThreadPool pool(1);
+  std::promise<std::thread::id> ran_on;
+  ASSERT_TRUE(pool.TryPost([&ran_on]() {
+    ran_on.set_value(std::this_thread::get_id());
+  }));
+  EXPECT_NE(ran_on.get_future().get(), std::this_thread::get_id());
+}
+
 TEST(ThreadPoolTest, ConcurrentSubmittersShareThePool) {
   ThreadPool pool(4);
   std::atomic<int> counter{0};
