@@ -87,7 +87,7 @@ class HierRangeOp final : public QueryOp {
     Status theta =
         OrderedHierarchicalMechanism::ResolveThetaSteps(policy).status();
     if (theta.code() == StatusCode::kUnimplemented) return theta;
-    return Status::OK();
+    return ValidateRangeInDomain(*this, policy, lo_, hi_);
   }
 
   StatusOr<std::string> SensitivityShape() const override {

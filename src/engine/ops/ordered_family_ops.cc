@@ -98,6 +98,11 @@ class RangeOp final : public OrderedFamilyOp {
     return Status::OK();
   }
 
+  Status Validate(const Policy& policy) const override {
+    BLOWFISH_RETURN_IF_ERROR(OrderedFamilyOp::Validate(policy));
+    return ValidateRangeInDomain(*this, policy, lo_, hi_);
+  }
+
  protected:
   StatusOr<std::vector<double>> PostProcess(
       const std::vector<double>& cumulative) const override {

@@ -110,6 +110,17 @@ Status ConstrainedPolicyUnsupported(const QueryOp& op, const Policy& policy) {
       "'");
 }
 
+Status ValidateRangeInDomain(const QueryOp& op, const Policy& policy,
+                             size_t lo, size_t hi) {
+  const uint64_t size = policy.domain().size();
+  if (lo <= hi && hi < size) return Status::OK();
+  return Status::OutOfRange(
+      "op '" + op.KindName() + "': range lo=" + std::to_string(lo) +
+      " hi=" + std::to_string(hi) +
+      " is not inside the domain (needs lo <= hi < |T| = " +
+      std::to_string(size) + ")");
+}
+
 QueryOpRegistry& QueryOpRegistry::Global() {
   static QueryOpRegistry* registry = new QueryOpRegistry();
   return *registry;

@@ -182,6 +182,12 @@ class QueryOp {
 /// never call this; docs/engine.md holds the support matrix.
 Status ConstrainedPolicyUnsupported(const QueryOp& op, const Policy& policy);
 
+/// OutOfRange unless the 1-D range [lo, hi] lies inside the policy's
+/// domain (lo <= hi < |T|). The range kinds run it last in Validate, so
+/// such a range is refused before it is charged or takes a stream id.
+Status ValidateRangeInDomain(const QueryOp& op, const Policy& policy,
+                             size_t lo, size_t hi);
+
 /// Process-wide kind-name -> op factory map. Ops self-register via
 /// QueryOpRegistrar at static initialization; lookups are lock-guarded
 /// and cheap.

@@ -53,7 +53,7 @@ class WaveletRangeOp final : public QueryOp {
       return Status::InvalidArgument(
           "wavelet_range requires a 1-D ordered domain");
     }
-    return Status::OK();
+    return ValidateRangeInDomain(*this, policy, lo_, hi_);
   }
 
   StatusOr<std::string> SensitivityShape() const override {

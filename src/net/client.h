@@ -75,9 +75,9 @@ class BlowfishClient {
   /// Submits one batch in the batch-file text format and blocks until
   /// DONE. Returns the batch's responses indexed by request position —
   /// the same vector the in-process future would carry. A batch-level
-  /// failure (parse error, tenant construction error) is the returned
-  /// Status; per-query failures ride inside their QueryResponse like
-  /// everywhere else.
+  /// failure (parse error, unknown tenant) is the returned Status;
+  /// per-query failures ride inside their QueryResponse like everywhere
+  /// else.
   StatusOr<std::vector<QueryResponse>> SubmitBatchText(
       const std::string& text, const ResultCallback& on_result = nullptr);
 

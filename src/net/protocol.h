@@ -26,10 +26,10 @@
 // payload in a RESULT is already final; only the budget receipt can
 // change after it fires (end-of-batch refunds/settlement), which is
 // what the RECEIPT frames deliver before DONE. A batch that fails
-// before reaching the engine (unknown tenant, lazy-construction error,
-// batch parse error) gets one ERR frame instead of RESULT/DONE; the
-// connection stays usable. Protocol violations also get an ERR frame,
-// after which the server closes.
+// before reaching the engine (unknown tenant, batch parse error) gets
+// one ERR frame instead of RESULT/DONE; the connection stays usable.
+// Protocol violations also get an ERR frame, after which the server
+// closes.
 //
 // Status values cross the wire as their stable code names
 // (util/status.h, StatusCodeToString / StatusCodeFromString) plus the

@@ -672,9 +672,8 @@ void BlowfishServer::FinishBatchCollection(Connection* conn) {
       [this, conn, ctx, tag, frame_write_us, traced, submit_us, policy_id,
        dataset_id](const StatusOr<std::vector<QueryResponse>>& responses) {
         if (!responses.ok()) {
-          // Pre-engine failure (unknown tenant, construction error):
-          // one ERR instead of RESULT/DONE; the connection stays
-          // usable.
+          // Pre-engine failure (unknown tenant): one ERR instead of
+          // RESULT/DONE; the connection stays usable.
           OutputError(conn, responses.status(), tag);
         } else {
           // Counted BEFORE the frames are enqueued: Output() can flush
@@ -771,8 +770,7 @@ void BlowfishServer::SweepTimers(IoLoop* loop, uint64_t now_us) {
           now_us - conn->out_nonempty_since_us >= stall_us) {
         // The whole buffer, not any one frame, is the deadline unit: a
         // peer that stopped reading (or trickle-reads without ever
-        // draining) is declared dead after one bound, exactly like the
-        // old per-frame SendAll deadline.
+        // draining) is declared dead after one bound.
         send_deadline_expired_total_->Increment();
         MarkDeadLocked(conn);
       }
@@ -830,7 +828,7 @@ void BlowfishServer::DrainLoop(IoLoop* loop) {
   }
   // Half-close every read side: idle connections become finishable at
   // once; one mid-batch finishes the batch, flushes its frames, then
-  // closes. Mirrors the old ShutdownRead-based drain.
+  // closes.
   for (const auto& entry : loop->conns) {
     Connection* conn = entry.first;
     std::lock_guard<std::mutex> lk(conn->out_mu);
@@ -1038,9 +1036,8 @@ void BlowfishServer::ServeStats(Connection* conn) {
 }
 
 void BlowfishServer::ServeHealth(Connection* conn) {
-  // Liveness first (cheap, lock-free), then the budget gauges — which
-  // read only ALREADY-CONSTRUCTED engines, so a health probe never
-  // triggers lazy tenant construction (see EngineHost::BudgetSnapshot).
+  // Liveness first (cheap, lock-free), then the budget gauges of every
+  // tenant session that exists (see EngineHost::BudgetSnapshot).
   const bool draining = stopping_.load();
   std::vector<std::pair<std::string, double>> samples;
   samples.emplace_back("health_ready", draining ? 0.0 : 1.0);

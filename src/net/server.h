@@ -11,10 +11,9 @@
 //
 // Per connection the protocol is a state machine: the incremental
 // FrameDecoder consumes recv()'d bytes, decoded frames drive
-// HELLO/SUBMIT/REQ handling exactly as the old thread-per-connection
-// loop did, and everything written goes through a per-connection
-// outbound buffer flushed opportunistically (on enqueue) and by
-// EPOLLOUT when the socket pushes back. Tenant resolution, budget
+// HELLO/SUBMIT/REQ handling, and everything written goes through a
+// per-connection outbound buffer flushed opportunistically (on enqueue)
+// and by EPOLLOUT when the socket pushes back. Tenant resolution, budget
 // charging and refunds, and sensitivity-cache sharing all flow through
 // EngineHost::SubmitBatch unchanged — this layer only moves bytes.
 //
@@ -343,8 +342,8 @@ class BlowfishServer {
   /// Answers one HEALTH verb (allowed pre-HELLO, like STATS): readiness
   /// and drain state, uptime, active connections, and one
   /// health_budget_remaining{tenant=...,session=...} gauge per session
-  /// of every already-constructed tenant engine. Same METRIC/DONE frame
-  /// shape as STATS, so clients share the decode path.
+  /// of every tenant. Same METRIC/DONE frame shape as STATS, so clients
+  /// share the decode path.
   void ServeHealth(Connection* conn);
 
   EngineHost* host_;

@@ -41,6 +41,11 @@ std::string TenantMetricsScope(const std::string& policy_id,
   return scope;
 }
 
+Status UnknownTenant(const std::pair<std::string, std::string>& key) {
+  return Status::NotFound("unknown tenant ('" + key.first + "', '" +
+                          key.second + "')");
+}
+
 }  // namespace
 
 EngineHost::EngineHost(EngineHostOptions options)
@@ -63,17 +68,26 @@ void EngineHost::Shutdown() { pool_->Shutdown(); }
 Status EngineHost::AddTenant(const std::string& policy_id,
                              const std::string& dataset_id, Policy policy,
                              Dataset data, TenantOptions options) {
+  ReleaseEngineOptions engine_options;
+  engine_options.pool = pool_;
+  engine_options.shared_cache = cache_;
+  engine_options.root_seed = options.root_seed.value_or(
+      DeriveTenantSeed(options_.root_seed, policy_id, dataset_id));
+  engine_options.default_session_budget = options.default_session_budget;
+  engine_options.metrics = options_.metrics;
+  engine_options.metrics_scope = TenantMetricsScope(policy_id, dataset_id);
+  engine_options.tracer = options_.tracer;
+  engine_options.audit = options_.audit;
   auto tenant = std::make_unique<Tenant>();
-  tenant->options = options;
-  tenant->pending_policy.emplace(std::move(policy));
-  tenant->pending_data.emplace(std::move(data));
+  BLOWFISH_ASSIGN_OR_RETURN(
+      tenant->engine, ReleaseEngine::Create(std::move(policy),
+                                            std::move(data), engine_options));
   std::lock_guard<std::mutex> lock(mu_);
-  const TenantKey key{policy_id, dataset_id};
-  if (tenants_.count(key) > 0) {
+  if (!tenants_.emplace(TenantKey{policy_id, dataset_id}, std::move(tenant))
+           .second) {
     return Status::InvalidArgument("tenant ('" + policy_id + "', '" +
                                    dataset_id + "') already registered");
   }
-  tenants_.emplace(key, std::move(tenant));
   return Status::OK();
 }
 
@@ -81,44 +95,6 @@ EngineHost::Tenant* EngineHost::FindTenant(const TenantKey& key) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = tenants_.find(key);
   return it == tenants_.end() ? nullptr : it->second.get();
-}
-
-StatusOr<ReleaseEngine*> EngineHost::GetOrCreateEngine(
-    const TenantKey& key) {
-  Tenant* tenant = FindTenant(key);
-  if (tenant == nullptr) {
-    return Status::NotFound("unknown tenant ('" + key.first + "', '" +
-                            key.second + "')");
-  }
-  // Per-tenant construction lock: a slow first construction (histogram
-  // materialization) blocks only this tenant's batches, not the host.
-  std::lock_guard<std::mutex> lock(tenant->mu);
-  if (tenant->engine != nullptr) return tenant->engine.get();
-  if (!tenant->create_error.ok()) return tenant->create_error;
-
-  ReleaseEngineOptions engine_options;
-  engine_options.pool = pool_;
-  engine_options.shared_cache = cache_;
-  engine_options.root_seed = tenant->options.root_seed.value_or(
-      DeriveTenantSeed(options_.root_seed, key.first, key.second));
-  engine_options.default_session_budget =
-      tenant->options.default_session_budget;
-  engine_options.metrics = options_.metrics;
-  engine_options.metrics_scope = TenantMetricsScope(key.first, key.second);
-  engine_options.tracer = options_.tracer;
-  engine_options.audit = options_.audit;
-
-  auto engine = ReleaseEngine::Create(std::move(*tenant->pending_policy),
-                                      std::move(*tenant->pending_data),
-                                      engine_options);
-  tenant->pending_policy.reset();
-  tenant->pending_data.reset();
-  if (!engine.ok()) {
-    tenant->create_error = engine.status();
-    return tenant->create_error;
-  }
-  tenant->engine = std::move(*engine);
-  return tenant->engine.get();
 }
 
 std::future<StatusOr<std::vector<QueryResponse>>> EngineHost::SubmitBatch(
@@ -130,10 +106,11 @@ std::future<StatusOr<std::vector<QueryResponse>>> EngineHost::SubmitBatch(
                                  ? options_.tracer
                                  : obs::TraceWriter::Global();
   const TenantKey key{policy_id, dataset_id};
+  Tenant* tenant = FindTenant(key);
   const uint64_t enqueue_us = obs::MonotonicMicros();
   auto batch = std::make_shared<
       std::packaged_task<StatusOr<std::vector<QueryResponse>>()>>(
-      [this, key, requests = std::move(requests),
+      [this, key, tenant, requests = std::move(requests),
        on_complete = std::move(on_complete),
        on_done = std::move(on_done), trace, tracer,
        enqueue_us]() -> StatusOr<std::vector<QueryResponse>> {
@@ -152,11 +129,10 @@ std::future<StatusOr<std::vector<QueryResponse>>> EngineHost::SubmitBatch(
           trace.Stamp(&span);
           tracer->Write(std::move(span));
         }
-        auto engine = GetOrCreateEngine(key);
         StatusOr<std::vector<QueryResponse>> result =
-            engine.ok()
-                ? (*engine)->ServeBatch(requests, on_complete, trace)
-                : StatusOr<std::vector<QueryResponse>>(engine.status());
+            tenant != nullptr
+                ? tenant->engine->ServeBatch(requests, on_complete, trace)
+                : StatusOr<std::vector<QueryResponse>>(UnknownTenant(key));
         // The epilogue runs here — settlement done, callbacks done —
         // not at future-resolution time, so an event-driven caller
         // needs no thread parked on the future at all.
@@ -166,7 +142,6 @@ std::future<StatusOr<std::vector<QueryResponse>>> EngineHost::SubmitBatch(
   std::future<StatusOr<std::vector<QueryResponse>>> future =
       batch->get_future();
   batches_queued_->Increment();
-  Tenant* tenant = FindTenant(key);
   if (tenant == nullptr) {
     // No strand to join: the batch reports NotFound from the pool.
     pool_->Post([batch]() { (*batch)(); });
@@ -214,9 +189,9 @@ StatusOr<std::vector<QueryResponse>> EngineHost::ServeBatch(
     // task queued behind this one would deadlock a small pool. Run the
     // batch inline — the engine's cooperative drain still lets the other
     // workers help with its queries.
-    auto engine = GetOrCreateEngine(TenantKey{policy_id, dataset_id});
-    if (!engine.ok()) return engine.status();
-    return (*engine)->ServeBatch(requests, on_complete, trace);
+    BLOWFISH_ASSIGN_OR_RETURN(ReleaseEngine * engine,
+                              engine(policy_id, dataset_id));
+    return engine->ServeBatch(requests, on_complete, trace);
   }
   return SubmitBatch(policy_id, dataset_id, std::move(requests),
                      std::move(on_complete), trace)
@@ -230,7 +205,10 @@ StatusOr<std::vector<QueryRequest>> EngineHost::ParseBatchText(
 
 StatusOr<ReleaseEngine*> EngineHost::engine(const std::string& policy_id,
                                             const std::string& dataset_id) {
-  return GetOrCreateEngine(TenantKey{policy_id, dataset_id});
+  const TenantKey key{policy_id, dataset_id};
+  Tenant* tenant = FindTenant(key);
+  if (tenant == nullptr) return UnknownTenant(key);
+  return tenant->engine.get();
 }
 
 bool EngineHost::HasTenant(const std::string& policy_id,
@@ -240,8 +218,7 @@ bool EngineHost::HasTenant(const std::string& policy_id,
 }
 
 std::vector<EngineHost::TenantBudget> EngineHost::BudgetSnapshot() const {
-  // Collect the constructed engines first (tenant map lock, then each
-  // tenant's construction lock, briefly), then read their accountants
+  // Collect the engines under the map lock, then read their accountants
   // with no host lock held — ListSessions takes the accountant's own
   // mutex. Engines are never destroyed while the host lives, so the
   // collected pointers stay valid.
@@ -249,11 +226,8 @@ std::vector<EngineHost::TenantBudget> EngineHost::BudgetSnapshot() const {
   {
     std::lock_guard<std::mutex> lock(mu_);
     for (const auto& [key, tenant] : tenants_) {
-      std::lock_guard<std::mutex> tenant_lock(tenant->mu);
-      if (tenant->engine != nullptr) {
-        engines.emplace_back(TenantMetricsScope(key.first, key.second),
-                             tenant->engine.get());
-      }
+      engines.emplace_back(TenantMetricsScope(key.first, key.second),
+                           tenant->engine.get());
     }
   }
   std::vector<TenantBudget> out;

@@ -12,11 +12,12 @@
 //     different datasets under the same policy reuse each other's
 //     NP-hard policy-graph bounds.
 //
-// Engines are constructed lazily, on the pool, at a tenant's first batch:
-// registration is cheap (AddTenant just parks the policy and dataset),
-// and a tenant that never receives traffic never materializes its
-// histogram. SubmitBatch returns a std::future immediately, so many
-// clients' batches interleave on the same workers.
+// AddTenant builds the tenant's engine: ReleaseEngine::Create checks the
+// domains and fingerprints the policy but reads no rows, and h(D) is
+// counted at the first query that needs it, so a tenant that never
+// receives traffic never materializes its histogram. SubmitBatch
+// returns a std::future immediately, so many clients' batches
+// interleave on the same workers.
 //
 // Each tenant has a FIFO strand: SubmitBatch appends the batch to the
 // tenant's queue, and at most one pool task drains that queue, one
@@ -112,18 +113,16 @@ class EngineHost {
   /// Drains the pool (every submitted batch completes) and joins.
   ~EngineHost();
 
-  /// Registers a tenant. The engine is NOT built here — construction
-  /// (histogram materialization, domain validation) happens lazily on
-  /// the pool at the first batch, and a Create error is reported by that
-  /// batch's future (and every later one). Fails if the key is taken.
+  /// Registers a tenant and builds its engine (ReleaseEngine::Create).
+  /// Fails, registering nothing, if Create refuses the policy, dataset
+  /// or options, or if the key is taken.
   Status AddTenant(const std::string& policy_id,
                    const std::string& dataset_id, Policy policy,
                    Dataset data, TenantOptions options = {});
 
   /// Enqueues a batch on its tenant's strand and returns immediately;
   /// the future delivers the responses (or NotFound for an unknown
-  /// tenant / InvalidArgument for a tenant whose engine failed to
-  /// construct). A tenant's batches are admitted one at a time, in
+  /// tenant). A tenant's batches are admitted one at a time, in
   /// SubmitBatch call order; different tenants' batches interleave, one
   /// batch per tenant per turn. Do not block on the future from a task
   /// running on this host's own pool — the batch may be queued behind
@@ -133,9 +132,8 @@ class EngineHost {
   /// finishes, ahead of the future (engine/release_engine.h documents
   /// the callback contract). Payloads are bit-identical to the future's
   /// for any pool size; callbacks run on pool threads, serialized per
-  /// batch. No callback fires for a batch that fails before reaching
-  /// the engine (unknown tenant, construction error) — the future
-  /// carries that error.
+  /// batch. No callback fires for a batch to an unknown tenant — the
+  /// future carries NotFound.
   ///
   /// `trace`, when valid, is the batch's wire-propagated trace context
   /// (threaded into the engine's spans and audit lines); the host also
@@ -144,12 +142,12 @@ class EngineHost {
   ///
   /// `on_done`, when set, receives the same value the future will
   /// carry, on the serving pool thread, before the future resolves —
-  /// including the pre-engine failures (unknown tenant, construction
-  /// error) that never fire on_complete. With a zero-thread pool the
-  /// whole batch (and therefore on_done) runs inline on the submitting
-  /// thread before SubmitBatch returns — unless another thread is
-  /// already draining the same tenant's strand: the batch then runs on
-  /// that thread, after SubmitBatch returns.
+  /// including the unknown tenant's NotFound, which never fires
+  /// on_complete. With a zero-thread pool the whole batch (and
+  /// therefore on_done) runs inline on the submitting thread before
+  /// SubmitBatch returns — unless another thread is already draining
+  /// the same tenant's strand: the batch then runs on that thread, after
+  /// SubmitBatch returns.
   std::future<StatusOr<std::vector<QueryResponse>>> SubmitBatch(
       const std::string& policy_id, const std::string& dataset_id,
       std::vector<QueryRequest> requests,
@@ -174,8 +172,8 @@ class EngineHost {
   static StatusOr<std::vector<QueryRequest>> ParseBatchText(
       const std::string& text);
 
-  /// The tenant's engine, constructing it on the calling thread if this
-  /// is its first use (e.g. to open budget sessions before traffic).
+  /// The tenant's engine (e.g. to open budget sessions before traffic),
+  /// or NotFound for an unknown tenant.
   StatusOr<ReleaseEngine*> engine(const std::string& policy_id,
                                   const std::string& dataset_id);
 
@@ -188,9 +186,8 @@ class EngineHost {
   SensitivityCache& cache() { return *cache_; }
   ThreadPool& pool() { return *pool_; }
 
-  /// One budget line of the HEALTH surface: a constructed tenant
-  /// engine's session, with the engine's metrics scope as the tenant
-  /// label.
+  /// One budget line of the HEALTH surface: a tenant engine's session,
+  /// with the engine's metrics scope as the tenant label.
   struct TenantBudget {
     std::string tenant;  // policy_id/dataset_id, label-sanitized
     std::string session;
@@ -199,10 +196,9 @@ class EngineHost {
     double remaining = 0.0;
   };
 
-  /// Snapshot of every session of every ALREADY-CONSTRUCTED tenant
-  /// engine, for liveness reporting. Deliberately does not force lazy
-  /// engine construction — a health probe must stay cheap and
-  /// side-effect-free.
+  /// Snapshot of every session of every tenant, for liveness
+  /// reporting. A session exists once it is opened or first charged, so
+  /// a tenant that has served nothing and opened nothing reports none.
   std::vector<TenantBudget> BudgetSnapshot() const;
 
   /// Stops the pool after draining queued batches. Idempotent; batches
@@ -213,15 +209,8 @@ class EngineHost {
   using TenantKey = std::pair<std::string, std::string>;
 
   struct Tenant {
-    TenantOptions options;
-    /// Parked until first use, then consumed by ReleaseEngine::Create.
-    std::optional<Policy> pending_policy;
-    std::optional<Dataset> pending_data;
+    /// Built by AddTenant; never replaced.
     std::unique_ptr<ReleaseEngine> engine;
-    /// A failed Create is permanent for the tenant; replayed to every
-    /// later batch.
-    Status create_error;
-    std::mutex mu;
 
     /// The strand: batches submitted but not started, in SubmitBatch
     /// order, and whether a pool task owns them (posted or running).
@@ -229,8 +218,6 @@ class EngineHost {
     std::deque<std::function<void()>> backlog;
     bool draining = false;
   };
-
-  StatusOr<ReleaseEngine*> GetOrCreateEngine(const TenantKey& key);
 
   /// The tenant's registry entry, or nullptr. Entries live as long as
   /// the host.

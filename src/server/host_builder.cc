@@ -63,25 +63,19 @@ StatusOr<std::unique_ptr<EngineHost>> BuildHostFromConfig(
         host->AddTenant(tenant.policy_file, tenant.name,
                         std::move(loaded.first), std::move(loaded.second),
                         tenant_options));
-    if (!tenant.sessions.empty() || !tenant.ledger_file.empty()) {
-      // Opening sessions / loading the ledger needs the accountant,
-      // which forces the engine.
-      BLOWFISH_ASSIGN_OR_RETURN(
-          ReleaseEngine * engine,
-          host->engine(tenant.policy_file, tenant.name));
-      for (const auto& [name, budget] : tenant.sessions) {
-        BLOWFISH_RETURN_IF_ERROR(
-            engine->accountant().OpenSession(name, budget));
-      }
-      if (!tenant.ledger_file.empty()) {
-        // The ledger carries spend from earlier processes and overrides
-        // the opening balances above. A missing file is a cold start.
-        Status loaded_ledger =
-            engine->accountant().LoadFromFile(tenant.ledger_file);
-        if (!loaded_ledger.ok() &&
-            loaded_ledger.code() != StatusCode::kNotFound) {
-          return loaded_ledger;
-        }
+    BLOWFISH_ASSIGN_OR_RETURN(ReleaseEngine * engine,
+                              host->engine(tenant.policy_file, tenant.name));
+    for (const auto& [name, budget] : tenant.sessions) {
+      BLOWFISH_RETURN_IF_ERROR(engine->accountant().OpenSession(name, budget));
+    }
+    if (!tenant.ledger_file.empty()) {
+      // The ledger carries spend from earlier processes and overrides
+      // the opening balances above. A missing file is a cold start.
+      Status loaded_ledger =
+          engine->accountant().LoadFromFile(tenant.ledger_file);
+      if (!loaded_ledger.ok() &&
+          loaded_ledger.code() != StatusCode::kNotFound) {
+        return loaded_ledger;
       }
     }
   }
@@ -91,11 +85,10 @@ StatusOr<std::unique_ptr<EngineHost>> BuildHostFromConfig(
 Status SaveHostState(EngineHost& host, const ServeConfig& config) {
   for (const TenantConfig& tenant : config.tenants) {
     if (tenant.ledger_file.empty()) continue;
-    auto engine = host.engine(tenant.policy_file, tenant.name);
-    // A tenant whose engine failed to construct has no spend to flush.
-    if (!engine.ok()) continue;
+    BLOWFISH_ASSIGN_OR_RETURN(ReleaseEngine * engine,
+                              host.engine(tenant.policy_file, tenant.name));
     BLOWFISH_RETURN_IF_ERROR(
-        (*engine)->accountant().SaveToFile(tenant.ledger_file));
+        engine->accountant().SaveToFile(tenant.ledger_file));
   }
   return Status::OK();
 }

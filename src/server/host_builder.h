@@ -33,7 +33,8 @@ StatusOr<std::pair<Policy, Dataset>> LoadTenantData(
 /// Builds the host and registers every tenant from the config: opens
 /// each tenant's declared budget sessions and loads per-tenant ledgers
 /// (missing = no prior spend). Tenant keys are (policy file, tenant
-/// name).
+/// name). Fails if any tenant's engine refuses its policy, data or
+/// budget (EngineHost::AddTenant).
 StatusOr<std::unique_ptr<EngineHost>> BuildHostFromConfig(
     const ServeConfig& config);
 

@@ -6,13 +6,10 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
-#include <chrono>
 #include <utility>
 
 namespace blowfish {
@@ -34,16 +31,6 @@ StatusOr<sockaddr_in> MakeAddress(const std::string& address,
                                    address + "'");
   }
   return addr;
-}
-
-Status SetNonBlockingFd(int fd, bool on) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags < 0) return ErrnoStatus("fcntl(F_GETFL)");
-  const int want = on ? (flags | O_NONBLOCK) : (flags & ~O_NONBLOCK);
-  if (want != flags && ::fcntl(fd, F_SETFL, want) != 0) {
-    return ErrnoStatus("fcntl(F_SETFL)");
-  }
-  return Status::OK();
 }
 
 }  // namespace
@@ -77,70 +64,16 @@ StatusOr<Socket> Socket::ConnectTcp(const std::string& address,
   return sock;
 }
 
-Status Socket::SendAll(const void* data, size_t len,
-                       int total_timeout_ms) {
+Status Socket::SendAll(const void* data, size_t len) {
   const char* p = static_cast<const char*>(data);
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::milliseconds(total_timeout_ms);
   while (len > 0) {
-    if (total_timeout_ms > 0) {
-      // One deadline across every retry: partial progress must not
-      // restart the clock, or a trickle-reading peer pins the writer
-      // forever.
-      const auto remaining =
-          std::chrono::duration_cast<std::chrono::milliseconds>(
-              deadline - std::chrono::steady_clock::now())
-              .count();
-      if (remaining <= 0) {
-        return Status::DeadlineExceeded(
-            "send timed out (peer not reading)");
-      }
-      pollfd pfd;
-      pfd.fd = fd_;
-      pfd.events = POLLOUT;
-      pfd.revents = 0;
-      const int rc = ::poll(&pfd, 1, static_cast<int>(remaining));
-      if (rc < 0) {
-        if (errno == EINTR) continue;
-        return ErrnoStatus("poll");
-      }
-      if (rc == 0) {
-        return Status::DeadlineExceeded(
-            "send timed out (peer not reading)");
-      }
-    }
-    // Under a deadline the send must not block — a blocking send() of
-    // a large remainder only returns once ALL of it is queued, which
-    // would let a slowly-draining peer stretch one send far past the
-    // deadline. poll() above is the only waiting point.
-    const int flags =
-        MSG_NOSIGNAL | (total_timeout_ms > 0 ? MSG_DONTWAIT : 0);
-    const ssize_t n = ::send(fd_, p, len, flags);
+    const ssize_t n = ::send(fd_, p, len, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        // Deadline path: poll() raced the peer; re-poll with whatever
-        // deadline remains.
-        if (total_timeout_ms > 0) continue;
-        // SO_SNDTIMEO expired: the peer stopped reading.
-        return Status::DeadlineExceeded(
-            "send timed out (peer not reading)");
-      }
       return ErrnoStatus("send");
     }
     p += n;
     len -= static_cast<size_t>(n);
-  }
-  return Status::OK();
-}
-
-Status Socket::SetSendTimeout(int millis) {
-  timeval tv;
-  tv.tv_sec = millis / 1000;
-  tv.tv_usec = (millis % 1000) * 1000;
-  if (::setsockopt(fd_, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv)) != 0) {
-    return ErrnoStatus("setsockopt(SO_SNDTIMEO)");
   }
   return Status::OK();
 }
@@ -152,10 +85,6 @@ StatusOr<size_t> Socket::Recv(void* buf, size_t cap) {
     if (errno == EINTR) continue;
     return ErrnoStatus("recv");
   }
-}
-
-Status Socket::SetNonBlocking(bool on) {
-  return SetNonBlockingFd(fd_, on);
 }
 
 IoResult Socket::SendNb(const void* data, size_t len, size_t* n,
@@ -261,29 +190,6 @@ bool ListenSocket::IsTransientAcceptError(int errno_value) {
   }
 }
 
-StatusOr<Socket> ListenSocket::Accept() {
-  while (true) {
-    const int fd = ::accept4(fd_, nullptr, nullptr, SOCK_CLOEXEC);
-    if (fd >= 0) {
-      Socket sock(fd);
-      int one = 1;
-      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-      return sock;
-    }
-    if (errno == EINTR) continue;
-    // Transient failures are structurally distinct from shutdown so a
-    // caller can back off and retry instead of abandoning the
-    // listener (the bug that used to kill the accept loop for good).
-    if (IsTransientAcceptError(errno)) {
-      return Status::ResourceExhausted(
-          "accept: " + std::string(std::strerror(errno)));
-    }
-    // EINVAL after shutdown(2): the accept loop's clean exit path.
-    return Status::FailedPrecondition("accept: " +
-                                      std::string(std::strerror(errno)));
-  }
-}
-
 IoResult ListenSocket::TryAccept(Socket* out, int* errno_out) {
   while (true) {
     const int fd =
@@ -303,7 +209,13 @@ IoResult ListenSocket::TryAccept(Socket* out, int* errno_out) {
 }
 
 Status ListenSocket::SetNonBlocking(bool on) {
-  return SetNonBlockingFd(fd_, on);
+  const int flags = ::fcntl(fd_, F_GETFL, 0);
+  if (flags < 0) return ErrnoStatus("fcntl(F_GETFL)");
+  const int want = on ? (flags | O_NONBLOCK) : (flags & ~O_NONBLOCK);
+  if (want != flags && ::fcntl(fd_, F_SETFL, want) != 0) {
+    return ErrnoStatus("fcntl(F_SETFL)");
+  }
+  return Status::OK();
 }
 
 void ListenSocket::Shutdown() {

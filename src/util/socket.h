@@ -10,11 +10,11 @@
 //
 // Two I/O styles coexist:
 //
-//   * Blocking (SendAll / Recv / Accept) — what BlowfishClient and the
-//     tests use: one thread, linear protocol state.
-//   * Nonblocking (SetNonBlocking + SendNb / RecvNb / TryAccept) — what
-//     the server's epoll reactor uses: a would-block is a distinct
-//     outcome, never an error, and no call ever parks the thread.
+//   * Blocking (ConnectTcp + SendAll / Recv) — what BlowfishClient and
+//     the tests use: one thread, linear protocol state.
+//   * Nonblocking (SendNb / RecvNb / TryAccept) — what the server's
+//     epoll reactor uses: a would-block is a distinct outcome, never an
+//     error, and no call ever parks the thread.
 
 #ifndef BLOWFISH_UTIL_SOCKET_H_
 #define BLOWFISH_UTIL_SOCKET_H_
@@ -60,30 +60,13 @@ class Socket {
   static StatusOr<Socket> ConnectTcp(const std::string& address,
                                      uint16_t port);
 
-  /// Writes all of `len` bytes (retrying partial writes and EINTR).
-  /// SIGPIPE is suppressed (MSG_NOSIGNAL) — a dead peer is an error
-  /// return, never a process signal. `total_timeout_ms` > 0 bounds the
-  /// WHOLE call: the deadline covers all retries, so a peer that
-  /// trickle-reads a few bytes per timeout window cannot keep the
-  /// write alive indefinitely the way a per-send() bound would. 0 =
-  /// block until done. Deadline expiry is structurally
-  /// StatusCode::kDeadlineExceeded — callers (and the server's
-  /// net_send_deadline_expired_total counter) match on the code, never
-  /// on message text.
-  Status SendAll(const void* data, size_t len, int total_timeout_ms = 0);
-
-  /// Bounds each individual blocking send() (SO_SNDTIMEO) — a
-  /// belt-and-braces floor under SendAll's poll-based deadline for the
-  /// rare send() that blocks after POLLOUT. 0 restores unbounded
-  /// blocking sends.
-  Status SetSendTimeout(int millis);
+  /// Writes all of `len` bytes, blocking until done (retrying partial
+  /// writes and EINTR). SIGPIPE is suppressed (MSG_NOSIGNAL) — a dead
+  /// peer is an error return, never a process signal.
+  Status SendAll(const void* data, size_t len);
 
   /// Reads up to `cap` bytes; returns 0 on clean EOF. Retries EINTR.
   StatusOr<size_t> Recv(void* buf, size_t cap);
-
-  /// Toggles O_NONBLOCK. The reactor flips accepted sockets on (via
-  /// TryAccept they already come back nonblocking); tests flip back.
-  Status SetNonBlocking(bool on);
 
   /// One nonblocking send attempt. kOk sets *n to the bytes the kernel
   /// accepted (> 0, possibly < len). Retries EINTR internally; never
@@ -94,10 +77,9 @@ class Socket {
   /// close is kEof, not an error. Retries EINTR; never blocks.
   IoResult RecvNb(void* buf, size_t cap, size_t* n, Status* error);
 
-  /// Half-closes the read side: a blocking Recv (here or in the peer
-  /// thread) returns 0, as if the peer had closed. The drain path of
-  /// the server uses this to tell connections "finish the batch in
-  /// flight, then stop".
+  /// Half-closes the read side: later reads (Recv, RecvNb) see EOF, as
+  /// if the peer had closed. The server's drain uses this to tell
+  /// connections "finish the batch in flight, then stop".
   void ShutdownRead();
 
   /// Full shutdown: both directions. Used to simulate/force abrupt
@@ -140,13 +122,6 @@ class ListenSocket {
   /// another connection.
   static bool IsTransientAcceptError(int errno_value);
 
-  /// Blocking accept; the returned socket is CLOEXEC (accept4).
-  /// Transient errnos (IsTransientAcceptError) come back as
-  /// kResourceExhausted so a caller can retry instead of exiting;
-  /// everything else — including EINVAL after Shutdown(), the accept
-  /// loop's clean exit signal — is kFailedPrecondition.
-  StatusOr<Socket> Accept();
-
   /// One nonblocking accept attempt (requires SetNonBlocking(true)).
   /// The accepted socket comes back nonblocking + CLOEXEC with
   /// TCP_NODELAY set. kError means transient (retry after backoff);
@@ -157,7 +132,8 @@ class ListenSocket {
   /// Toggles O_NONBLOCK on the listener.
   Status SetNonBlocking(bool on);
 
-  /// Unblocks a concurrent Accept and poisons the socket. Idempotent.
+  /// Poisons the listener: every later TryAccept returns kEof.
+  /// Idempotent.
   void Shutdown();
 
   void Close();

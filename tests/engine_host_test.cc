@@ -94,21 +94,27 @@ TEST(EngineHostTest, DuplicateTenantRefused) {
   EXPECT_EQ(host.Tenants().size(), 1u);
 }
 
-TEST(EngineHostTest, LazyConstructionErrorSurfacesAtFirstBatch) {
-  // Policy and dataset domains disagree; AddTenant accepts the pair
-  // (construction is lazy), and the mismatch is reported by the first
-  // batch — and every later one.
+/// Asserts that AddTenant refuses `data` under `policy` with
+/// InvalidArgument and registers nothing: a later batch is NotFound.
+void ExpectAddTenantRefused(const Policy& policy, Dataset data,
+                            TenantOptions options = {}) {
+  EngineHost host;
+  EXPECT_EQ(host.AddTenant("p", "d", policy, std::move(data), options).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_FALSE(host.HasTenant("p", "d"));
+  EXPECT_TRUE(host.Tenants().empty());
+  auto responses = host.ServeBatch("p", "d", {HistogramRequest(0.5)});
+  EXPECT_EQ(responses.status().code(), StatusCode::kNotFound);
+}
+
+TEST(EngineHostTest, ConstructionErrorRefusesAddTenant) {
+  // Policy and dataset domains disagree: ReleaseEngine::Create refuses
+  // the pair, so the tenant never exists.
   auto policy_domain = LineDomain(32);
   auto data_domain = std::make_shared<const Domain>(
       Domain::Line(32, 2.0, "other").value());
-  Policy policy = Policy::FullDomain(policy_domain).value();
-  EngineHost host;
-  ASSERT_TRUE(
-      host.AddTenant("p", "d", policy, MakeData(data_domain, 50)).ok());
-  auto first = host.ServeBatch("p", "d", {HistogramRequest(0.5)});
-  EXPECT_EQ(first.status().code(), StatusCode::kInvalidArgument);
-  auto second = host.ServeBatch("p", "d", {HistogramRequest(0.5)});
-  EXPECT_EQ(second.status().code(), StatusCode::kInvalidArgument);
+  ExpectAddTenantRefused(Policy::FullDomain(policy_domain).value(),
+                         MakeData(data_domain, 50));
 }
 
 TEST(EngineHostTest, TenantBudgetsAreIsolated) {
@@ -479,18 +485,14 @@ TEST(EngineHostTest, DeepBacklogDrainsInALoopAfterShutdown) {
   EXPECT_EQ(registry.GetGauge("host_batches_queued")->Value(), 0);
 }
 
-TEST(EngineHostTest, NonFiniteTenantBudgetRefusedAtFirstBatch) {
+TEST(EngineHostTest, NonFiniteTenantBudgetRefusedAtAddTenant) {
   // A NaN budget would make every admission check pass (spent + eps >
   // NaN is never true); engine construction must refuse it.
   auto domain = LineDomain(16);
-  Policy policy = Policy::FullDomain(domain).value();
-  EngineHost host;
   TenantOptions bad;
   bad.default_session_budget = std::nan("");
-  ASSERT_TRUE(
-      host.AddTenant("p", "d", policy, MakeData(domain, 50), bad).ok());
-  auto responses = host.ServeBatch("p", "d", {HistogramRequest(0.5)});
-  EXPECT_EQ(responses.status().code(), StatusCode::kInvalidArgument);
+  ExpectAddTenantRefused(Policy::FullDomain(domain).value(),
+                         MakeData(domain, 50), bad);
 }
 
 }  // namespace

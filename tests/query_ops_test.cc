@@ -16,6 +16,28 @@
 namespace blowfish {
 namespace {
 
+/// A query kind that fails in Execute, after admission. Registered
+/// only in this test binary: its charge must be refunded.
+class ExecuteFailOp final : public QueryOp {
+ public:
+  std::string KindName() const override { return "execute_fail"; }
+  Status Parse(KeyValueBag&) override { return Status::OK(); }
+  StatusOr<std::string> SensitivityShape() const override {
+    return std::string("execute_fail");
+  }
+  StatusOr<double> ComputeSensitivity(
+      const Policy&, const SensitivityEnv&) const override {
+    return 1.0;
+  }
+  StatusOr<std::vector<double>> Execute(const QueryExecContext&,
+                                        Random) const override {
+    return Status::Internal("injected failure after admission");
+  }
+};
+
+const QueryOpRegistrar kFailRegistrar{
+    "execute_fail", [] { return std::make_unique<ExecuteFailOp>(); }};
+
 constexpr uint64_t kSeed = 97;
 
 std::shared_ptr<const Domain> LineDomain(uint64_t size) {
@@ -231,15 +253,19 @@ TEST(WaveletRangeOpTest, BatchFileErrorPaths) {
   EXPECT_FALSE(ParseBatchRequests("wavelet_range eps=0.1 qs=0.5\n").ok());
   EXPECT_FALSE(
       ParseBatchRequests("wavelet_range eps=0.1 lo=-1 hi=2\n").ok());
-  // Out-of-domain range: admitted (the shape is fine), fails at
-  // execution, and the charge comes back.
+  // Out-of-domain range: refused before admission, never charged.
   auto domain = LineDomain(32);
   Policy policy = Policy::FullDomain(domain).value();
   Dataset data = MakeData(domain, 200);
   auto engine = MakeEngine(policy, data, 1.0);
-  auto responses = engine->ServeBatch(
+  auto outside = engine->ServeBatch(
       {MakeQueryRequest("wavelet_range", 0.3, {{"lo", "5"}, {"hi", "900"}})
            .value()});
+  EXPECT_EQ(outside[0].status.code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(outside[0].receipt.charge_id, 0u);
+  // A failure in Execute: admitted, and the charge comes back.
+  auto responses = engine->ServeBatch(
+      {MakeQueryRequest("execute_fail", 0.3).value()});
   ASSERT_FALSE(responses[0].status.ok());
   EXPECT_TRUE(responses[0].values.empty());
   EXPECT_TRUE(responses[0].receipt.refunded);

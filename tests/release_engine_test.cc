@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/policy.h"
 #include "core/secret_graph.h"
 #include "engine/batch_request.h"
+#include "engine/ops/query_op.h"
 #include "mech/laplace.h"
 #include "mech/ordered.h"
 #include "util/random.h"
@@ -17,6 +20,30 @@ namespace blowfish {
 namespace {
 
 constexpr uint64_t kSeed = 42;
+
+/// A query kind that draws its noise and then fails, after admission.
+/// Registered only in this test binary: its charge must be refunded,
+/// and nothing it drew may be published.
+class FailAfterNoiseOp final : public QueryOp {
+ public:
+  std::string KindName() const override { return "fail_after_noise"; }
+  Status Parse(KeyValueBag&) override { return Status::OK(); }
+  StatusOr<std::string> SensitivityShape() const override {
+    return std::string("fail_after_noise");
+  }
+  StatusOr<double> ComputeSensitivity(
+      const Policy&, const SensitivityEnv&) const override {
+    return 1.0;
+  }
+  StatusOr<std::vector<double>> Execute(const QueryExecContext& ctx,
+                                        Random rng) const override {
+    (void)rng.Laplace(1.0 / ctx.epsilon);
+    return Status::Internal("injected failure after the noise draw");
+  }
+};
+
+const QueryOpRegistrar kFailRegistrar{
+    "fail_after_noise", [] { return std::make_unique<FailAfterNoiseOp>(); }};
 
 std::shared_ptr<const Domain> LineDomain(uint64_t size) {
   return std::make_shared<const Domain>(Domain::Line(size).value());
@@ -459,10 +486,9 @@ TEST(ReleaseEngineTest, FailedQueryDoesNotSinkTheBatch) {
 }
 
 TEST(ReleaseEngineTest, FailedQueryAfterAdmissionIsRefunded) {
-  // A range query with an out-of-bounds endpoint resolves its sensitivity
-  // (the cumulative-histogram shape is fine) and passes budget admission,
-  // then fails at execution time in RangeFromCumulative. The charge must
-  // come back: a failed query leaves the balance unchanged.
+  // A query that resolves its sensitivity and passes budget admission,
+  // then fails at execution time. The charge must come back: a failed
+  // query leaves the balance unchanged.
   auto domain = LineDomain(32);
   Policy policy = Policy::Line(domain).value();
   Dataset data = MakeData(domain, 200);
@@ -471,8 +497,7 @@ TEST(ReleaseEngineTest, FailedQueryAfterAdmissionIsRefunded) {
   options.default_session_budget = 1.0;
   auto engine = MakeEngine(policy, data, options);
 
-  QueryRequest bad =
-      Request("range", 0.3, {{"lo", "5"}, {"hi", "1000"}});  // beyond domain
+  QueryRequest bad = Request("fail_after_noise", 0.3);
   auto responses = engine->ServeBatch({bad});
   ASSERT_FALSE(responses[0].status.ok());
   EXPECT_TRUE(responses[0].receipt.refunded);
@@ -504,11 +529,9 @@ TEST(ReleaseEngineTest, DeliveredReceiptsAreSettledAndNotRefundable) {
 }
 
 TEST(ReleaseEngineTest, FailedQueryCarriesNoPartialPayload) {
-  // range hi=1000 on Line(32): the noisy cumulative is computed before
-  // the out-of-domain post-processing fails. The refund is only sound
+  // The op draws its noise before it fails. The refund is only sound
   // if nothing was published, so the partial noisy release must be
-  // dropped along with the charge. (An out-of-[0,1] quantile no longer
-  // reaches Execute — qs= is bound-checked at parse time.)
+  // dropped along with the charge.
   auto domain = LineDomain(32);
   Policy policy = Policy::Line(domain).value();
   Dataset data = MakeData(domain, 200);
@@ -517,7 +540,7 @@ TEST(ReleaseEngineTest, FailedQueryCarriesNoPartialPayload) {
   options.default_session_budget = 1.0;
   auto engine = MakeEngine(policy, data, options);
 
-  QueryRequest bad = Request("range", 0.3, {{"lo", "2"}, {"hi", "1000"}});
+  QueryRequest bad = Request("fail_after_noise", 0.3);
   auto responses = engine->ServeBatch({bad});
   ASSERT_FALSE(responses[0].status.ok());
   EXPECT_TRUE(responses[0].values.empty());
@@ -535,7 +558,7 @@ TEST(ReleaseEngineTest, MixedBatchRefundsOnlyTheFailedQuery) {
   auto engine = MakeEngine(policy, data, options);
 
   QueryRequest good = Request("range", 0.2, {{"lo", "2"}, {"hi", "20"}});
-  QueryRequest bad = Request("range", 0.3, {{"lo", "2"}, {"hi", "1000"}});
+  QueryRequest bad = Request("fail_after_noise", 0.3);
   auto responses = engine->ServeBatch({good, bad, HistogramRequest(0.1)});
   ASSERT_TRUE(responses[0].status.ok()) << responses[0].status.ToString();
   ASSERT_FALSE(responses[1].status.ok());
@@ -544,6 +567,43 @@ TEST(ReleaseEngineTest, MixedBatchRefundsOnlyTheFailedQuery) {
   EXPECT_TRUE(responses[1].receipt.refunded);
   // 0.2 + 0.1 stay spent; the failed 0.3 came back.
   EXPECT_DOUBLE_EQ(engine->accountant().Spent(""), 0.3);
+}
+
+TEST(ReleaseEngineTest, RangeOutsideTheDomainIsRefusedBeforeAdmission) {
+  // Each 1-D range kind refuses lo > hi or hi >= |T| in Validate: no
+  // charge, no refund, and no stream id, so the rest of the batch
+  // draws exactly the noise it draws without the bad range.
+  auto domain = LineDomain(50);
+  Policy policy = Policy::Line(domain).value();
+  Dataset data = MakeData(domain, 200);
+  ReleaseEngineOptions options;
+  options.root_seed = kSeed;
+  auto clean = MakeEngine(policy, data, options)->ServeBatch(
+      {HistogramRequest(0.5)});
+  ASSERT_TRUE(clean[0].status.ok()) << clean[0].status.ToString();
+  const std::vector<std::pair<std::string, std::string>> ranges = {
+      {"3", "70"}, {"9", "2"}};
+  for (const char* kind : {"range", "hier_range", "wavelet_range"}) {
+    for (const auto& [lo, hi] : ranges) {
+      SCOPED_TRACE(std::string(kind) + " lo=" + lo + " hi=" + hi);
+      auto engine = MakeEngine(policy, data, options);
+      auto responses = engine->ServeBatch(
+          {Request(kind, 0.5, {{"lo", lo}, {"hi", hi}}),
+           HistogramRequest(0.5)});
+      EXPECT_EQ(responses[0].status.code(), StatusCode::kOutOfRange);
+      EXPECT_NE(responses[0].status.message().find("lo=" + lo + " hi=" + hi),
+                std::string::npos)
+          << responses[0].status.message();
+      EXPECT_NE(responses[0].status.message().find("|T| = 50"),
+                std::string::npos)
+          << responses[0].status.message();
+      EXPECT_EQ(responses[0].receipt.charge_id, 0u);
+      EXPECT_FALSE(responses[0].receipt.refunded);
+      EXPECT_DOUBLE_EQ(engine->accountant().Spent(""), 0.5);
+      ASSERT_TRUE(responses[1].status.ok());
+      EXPECT_EQ(responses[1].values, clean[0].values);
+    }
+  }
 }
 
 TEST(ReleaseEngineTest, EnginesOnASharedPoolStayDeterministic) {

@@ -2,8 +2,42 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "server/engine_host.h"
+#include "server/host_builder.h"
+
 namespace blowfish {
 namespace {
+
+/// The policy spec both tenants serve; tenant keys are (spec, name).
+std::string SpecPath() {
+  return ::testing::TempDir() + "/serve_config_spec.txt";
+}
+
+/// A host config with two tenants, `a` and `b`, over one line-graph
+/// spec and a 200-row CSV. `a_extra` is appended to tenant a's block.
+std::string TwoTenantConfig(const std::string& a_extra) {
+  std::ofstream(SpecPath()) << "attribute = v : 50 : 1.0\ngraph = line\n";
+  const std::string csv = ::testing::TempDir() + "/serve_config_data.csv";
+  {
+    std::ofstream rows(csv);
+    for (int i = 0; i < 200; ++i) rows << (i * 7) % 50 << "\n";
+  }
+  return "threads = 1\n"
+         "tenant = a\npolicy = " + SpecPath() + "\ncsv = " + csv + "\n" +
+         a_extra +
+         "tenant = b\npolicy = " + SpecPath() + "\ncsv = " + csv + "\n";
+}
+
+StatusOr<std::unique_ptr<EngineHost>> BuildHost(const std::string& config) {
+  BLOWFISH_ASSIGN_OR_RETURN(ServeConfig parsed, ParseServeConfig(config));
+  return BuildHostFromConfig(parsed);
+}
 
 TEST(ServeConfigTest, ParsesHostAndTenantBlocks) {
   const std::string text =
@@ -143,6 +177,54 @@ TEST(ServeConfigTest, CommentsAndBlankLinesIgnored) {
   ASSERT_TRUE(config.ok()) << config.status().ToString();
   ASSERT_EQ(config->tenants.size(), 1u);
   EXPECT_EQ(config->tenants[0].name, "t");
+}
+
+TEST(ServeConfigTest, BuildHostRefusesATenantItCannotServe) {
+  // A negative budget is refused by the tenant's engine, whether or not
+  // the tenant's block opens a session.
+  for (const std::string sessions : {"", "session = s : 1\n"}) {
+    auto host = BuildHost(TwoTenantConfig("budget = -1\n" + sessions));
+    ASSERT_FALSE(host.ok()) << "sessions: '" << sessions << "'";
+    EXPECT_EQ(host.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(host.status().message().find("default_session_budget"),
+              std::string::npos)
+        << host.status().message();
+  }
+}
+
+TEST(ServeConfigTest, SessionLineOpensThatSession) {
+  auto host = BuildHost(TwoTenantConfig("session = s : 2.5\n"));
+  ASSERT_TRUE(host.ok()) << host.status().ToString();
+  const std::vector<EngineHost::TenantBudget> budgets =
+      (*host)->BudgetSnapshot();
+  // Tenant b has served nothing and opened no session.
+  ASSERT_EQ(budgets.size(), 1u);
+  EXPECT_EQ(budgets[0].session, "s");
+  EXPECT_EQ(budgets[0].budget, 2.5);
+  EXPECT_EQ(budgets[0].spent, 0.0);
+}
+
+TEST(ServeConfigTest, SaveHostStateWritesTheSpendTheNextHostLoads) {
+  const std::string ledger = ::testing::TempDir() + "/serve_config.ledger";
+  std::remove(ledger.c_str());
+  auto config = ParseServeConfig(
+      TwoTenantConfig("session = s : 2.5\nledger = " + ledger + "\n"));
+  ASSERT_TRUE(config.ok()) << config.status().ToString();
+  {
+    auto host = BuildHostFromConfig(*config);
+    ASSERT_TRUE(host.ok()) << host.status().ToString();
+    auto served = (*host)->ServeBatch(
+        SpecPath(), "a",
+        EngineHost::ParseBatchText("histogram eps=0.5 session=s\n").value());
+    ASSERT_TRUE(served.ok()) << served.status().ToString();
+    ASSERT_TRUE((*served)[0].status.ok());
+    ASSERT_TRUE(SaveHostState(**host, *config).ok());
+  }
+  auto reloaded = BuildHostFromConfig(*config);
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+  auto engine = (*reloaded)->engine(SpecPath(), "a");
+  ASSERT_TRUE(engine.ok());
+  EXPECT_EQ((*engine)->accountant().Spent("s"), 0.5);
 }
 
 }  // namespace

@@ -6,10 +6,12 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "core/policy.h"
 #include "engine/batch_request.h"
+#include "engine/ops/query_op.h"
 #include "engine/release_engine.h"
 #include "server/engine_host.h"
 #include "util/random.h"
@@ -19,6 +21,28 @@ namespace blowfish {
 namespace {
 
 constexpr uint64_t kSeed = 1234;
+
+/// A query kind that fails in Execute, after admission. Registered
+/// only in this test binary: its charge must be refunded.
+class ExecuteFailOp final : public QueryOp {
+ public:
+  std::string KindName() const override { return "execute_fail"; }
+  Status Parse(KeyValueBag&) override { return Status::OK(); }
+  StatusOr<std::string> SensitivityShape() const override {
+    return std::string("execute_fail");
+  }
+  StatusOr<double> ComputeSensitivity(
+      const Policy&, const SensitivityEnv&) const override {
+    return 1.0;
+  }
+  StatusOr<std::vector<double>> Execute(const QueryExecContext&,
+                                        Random) const override {
+    return Status::Internal("injected failure after admission");
+  }
+};
+
+const QueryOpRegistrar kFailRegistrar{
+    "execute_fail", [] { return std::make_unique<ExecuteFailOp>(); }};
 
 std::shared_ptr<const Domain> LineDomain(uint64_t size) {
   return std::make_shared<const Domain>(Domain::Line(size).value());
@@ -37,7 +61,7 @@ Dataset MakeData(const std::shared_ptr<const Domain>& domain, size_t n,
 }
 
 /// A mixed batch: successes, an admission refusal (eps = 0 on positive
-/// sensitivity), and an execution-time failure (out-of-domain range).
+/// sensitivity), and an execution-time failure.
 std::vector<QueryRequest> MixedBatch() {
   std::vector<QueryRequest> batch;
   for (int i = 0; i < 6; ++i) {
@@ -46,9 +70,8 @@ std::vector<QueryRequest> MixedBatch() {
   batch.push_back(
       MakeQueryRequest("range", 0.2, {{"lo", "5"}, {"hi", "50"}}).value());
   batch.push_back(MakeQueryRequest("histogram", 0.0).value());  // refused
-  batch.push_back(
-      MakeQueryRequest("range", 0.2, {{"lo", "5"}, {"hi", "1000"}})
-          .value());  // fails at execution -> refunded
+  batch.push_back(  // fails at execution -> refunded
+      MakeQueryRequest("execute_fail", 0.2).value());
   batch.push_back(
       MakeQueryRequest("quantiles", 0.2, {{"qs", "0.25,0.75"}}).value());
   return batch;
@@ -144,7 +167,7 @@ TEST(StreamingTest, ZeroWorkerPoolStreamsInRequestOrder) {
 
 TEST(StreamingTest, CallbackSeesPreRefundReceipt) {
   // The callback fires the moment execution finishes; the end-of-batch
-  // refund pass has not run yet, so a query that fails mid-mechanism
+  // refund pass has not run yet, so a query that fails in Execute
   // streams with its charge still in place and is refunded only in the
   // returned vector. (Streams must not wait on the whole batch — that
   // is the point of streaming.)
@@ -159,9 +182,7 @@ TEST(StreamingTest, CallbackSeesPreRefundReceipt) {
 
   Collector collector;
   auto returned = (*engine)->ServeBatch(
-      {MakeQueryRequest("range", 0.3, {{"lo", "5"}, {"hi", "1000"}})
-           .value()},
-      collector.Callback());
+      {MakeQueryRequest("execute_fail", 0.3).value()}, collector.Callback());
   ASSERT_FALSE(returned[0].status.ok());
   EXPECT_TRUE(returned[0].receipt.refunded);
   const QueryResponse& streamed = collector.seen.at(0);

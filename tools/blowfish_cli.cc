@@ -296,20 +296,10 @@ int RunServe(Args& args) {
         stream ? StreamPrinter(tenant.name) : QueryCompletionCallback());
     pending.push_back(std::move(batch));
   }
-  // One tenant failing (e.g. a lazy engine-construction error) must not
-  // sink the others: their batches already executed — budget spent,
-  // noise drawn — so their results are delivered and their ledgers are
-  // still saved. The exit code reports the failure.
-  bool any_tenant_failed = false;
   for (PendingBatch& batch : pending) {
+    // Every tenant is registered, so the future carries responses.
     auto responses = batch.result.get();
-    if (!responses.ok()) {
-      std::printf("### tenant %s\n# tenant failed: %s\n",
-                  batch.tenant->name.c_str(),
-                  responses.status().ToString().c_str());
-      any_tenant_failed = true;
-      continue;
-    }
+    if (!responses.ok()) return Fail(responses.status().ToString());
     if (!stream) {
       // Streaming already printed each query as it completed.
       std::printf("### tenant %s\n", batch.tenant->name.c_str());
@@ -320,7 +310,7 @@ int RunServe(Args& args) {
   for (const TenantConfig& tenant : config->tenants) {
     if (tenant.requests_file.empty() && tenant.sessions.empty()) continue;
     auto engine = (*host)->engine(tenant.policy_file, tenant.name);
-    if (!engine.ok()) continue;
+    if (!engine.ok()) return Fail(engine.status().ToString());
     std::printf("### tenant %s\n%s", tenant.name.c_str(),
                 (*engine)->accountant().ToString().c_str());
   }
@@ -331,13 +321,10 @@ int RunServe(Args& args) {
   if (!saved.ok()) return Fail(saved.ToString());
   for (const TenantConfig& tenant : config->tenants) {
     if (tenant.ledger_file.empty()) continue;
-    // Construction failures have no accountant to flush (and were
-    // already reported above).
-    if (!(*host)->engine(tenant.policy_file, tenant.name).ok()) continue;
     std::printf("# tenant %s budget ledger saved to %s\n",
                 tenant.name.c_str(), tenant.ledger_file.c_str());
   }
-  return any_tenant_failed ? 1 : 0;
+  return 0;
 }
 
 int RunSessions(Args& args) {

@@ -21,7 +21,7 @@
 //     traffic and nothing in flight (0 = never).
 //   * On SIGTERM/SIGINT the daemon drains gracefully: it stops
 //     accepting, lets every in-flight batch finish and flush its
-//     frames, joins the connection threads, then writes the budget
+//     frames, joins the I/O threads, then writes the budget
 //     ledgers back to the config's files (server/host_builder.h,
 //     SaveHostState) before exiting 0 — a restarted daemon refuses
 //     what this process's clients already spent.
@@ -253,8 +253,9 @@ int Run(int argc, char** argv) {
   if (!metrics_file.empty()) DumpMetrics(metrics_file);
   // Flush() fsyncs what the per-line fflushes left in the page cache —
   // the drain guarantees durable trace and audit files, not just
-  // written ones. Every batch has settled (Stop() joined the handlers
-  // and SaveHostState ran), so these files are complete.
+  // written ones. Every batch has settled (Stop() waited for each
+  // batch's settlement and SaveHostState ran), so these files are
+  // complete.
   obs::TraceWriter::Global()->Flush();
   obs::TraceWriter::Global()->Close();
   obs::AuditLog::Global()->Flush();
