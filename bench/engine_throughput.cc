@@ -38,6 +38,7 @@
 #include <cstdio>
 #include <cstring>
 #include <future>
+#include <memory>
 #include <string>
 #include <thread>
 #include <utility>
@@ -166,7 +167,8 @@ int Run(const std::string& json_path) {
   ReleaseEngineOptions options;
   options.root_seed = kSeed;
   options.default_session_budget = 1e9;
-  options.num_threads = 2;
+  // Two-way parallelism: one worker plus the submitting thread.
+  options.pool = std::make_shared<ThreadPool>(1);
 
   // --- Cold baseline: one-query batches with the sensitivity cache
   // cleared before each, so every query recomputes S(h, P). ---
@@ -270,7 +272,7 @@ int Run(const std::string& json_path) {
     ReleaseEngineOptions opts;
     opts.root_seed = kSeed;
     opts.default_session_budget = 1e9;
-    opts.num_threads = threads;
+    opts.pool = std::make_shared<ThreadPool>(threads - 1);
     auto e = ReleaseEngine::Create(*policy, *data, opts);
     if (!e.ok()) {
       std::fprintf(stderr, "engine: %s\n", e.status().ToString().c_str());

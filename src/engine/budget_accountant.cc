@@ -79,13 +79,6 @@ Status WriteLedgerLine(std::ostream& out, const std::string& name,
   return Status::OK();
 }
 
-/// NaN fails every comparison: a `< 0` check admits it, the budget
-/// check (spent + NaN > budget) never refuses it, and it would be
-/// charged as nothing.
-bool ValidEpsilon(double epsilon) {
-  return epsilon >= 0.0 && std::isfinite(epsilon);
-}
-
 /// "budget_charges_total" + scope "t" -> "budget_charges_total{tenant=t}".
 std::string ScopedMetricName(const std::string& base,
                              const std::string& scope) {
@@ -94,6 +87,15 @@ std::string ScopedMetricName(const std::string& base,
 }
 
 }  // namespace
+
+Status ValidateEpsilon(double epsilon, const char* what) {
+  // !(>= 0) rather than (< 0): a `< 0` check admits NaN.
+  if (!(epsilon >= 0.0) || !std::isfinite(epsilon)) {
+    return Status::InvalidArgument(std::string(what) +
+                                   " must be finite and >= 0");
+  }
+  return Status::OK();
+}
 
 BudgetAccountant::BudgetAccountant(double default_budget,
                                    obs::MetricsRegistry* metrics,
@@ -130,11 +132,7 @@ BudgetAccountant::SessionState& BudgetAccountant::GetOrCreateLocked(
 
 Status BudgetAccountant::OpenSession(const std::string& session,
                                      double budget) {
-  // !(>= 0) rather than (< 0): NaN passes a < check and would disable
-  // enforcement forever (spent + eps > NaN is never true).
-  if (!(budget >= 0.0) || !std::isfinite(budget)) {
-    return Status::InvalidArgument("session budget must be finite and >= 0");
-  }
+  BLOWFISH_RETURN_IF_ERROR(ValidateEpsilon(budget, "session budget"));
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (sessions_.count(session) > 0) {
@@ -159,9 +157,7 @@ Status BudgetAccountant::OpenSession(const std::string& session,
 
 StatusOr<BudgetReceipt> BudgetAccountant::ChargeSequential(
     const std::string& session, double epsilon, std::string label) {
-  if (!ValidEpsilon(epsilon)) {
-    return Status::InvalidArgument("epsilon must be finite and >= 0");
-  }
+  BLOWFISH_RETURN_IF_ERROR(ValidateEpsilon(epsilon, "epsilon"));
   std::lock_guard<std::mutex> lock(mu_);
   SessionState& state = GetOrCreateLocked(session);
   if (state.spent + epsilon > state.budget + 1e-12) {
@@ -196,9 +192,7 @@ StatusOr<BudgetReceipt> BudgetAccountant::ChargeParallel(
     return Status::InvalidArgument("parallel group must be non-empty");
   }
   for (double e : epsilons) {
-    if (!ValidEpsilon(e)) {
-      return Status::InvalidArgument("epsilon must be finite and >= 0");
-    }
+    BLOWFISH_RETURN_IF_ERROR(ValidateEpsilon(e, "epsilon"));
   }
   const double cost = *std::max_element(epsilons.begin(), epsilons.end());
   std::lock_guard<std::mutex> lock(mu_);

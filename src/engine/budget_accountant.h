@@ -52,6 +52,13 @@ struct BudgetReceipt {
   bool refunded = false;
 };
 
+/// The one rule for an epsilon amount — a charge, a session's budget,
+/// an engine's or a config tenant's default budget: finite and >= 0.
+/// NaN fails every comparison, so a NaN budget would never refuse a
+/// charge and a NaN charge would cost nothing; this refuses it.
+/// InvalidArgument "<what> must be finite and >= 0" otherwise.
+Status ValidateEpsilon(double epsilon, const char* what);
+
 /// Refusing, session-scoped epsilon budget. All methods are thread-safe.
 class BudgetAccountant {
  public:

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <condition_variable>
 #include <map>
 #include <set>
@@ -22,16 +21,8 @@ std::string QueryKindName(const QueryRequest& request) {
 
 StatusOr<std::unique_ptr<ReleaseEngine>> ReleaseEngine::Create(
     Policy policy, Dataset data, ReleaseEngineOptions options) {
-  if (options.pool == nullptr && options.num_threads == 0) {
-    return Status::InvalidArgument(
-        "num_threads must be >= 1 when no pool is injected");
-  }
-  if (!(options.default_session_budget >= 0.0) ||
-      !std::isfinite(options.default_session_budget)) {
-    return Status::InvalidArgument(
-        "default_session_budget must be finite and >= 0 (a NaN budget "
-        "would silently disable enforcement)");
-  }
+  BLOWFISH_RETURN_IF_ERROR(ValidateEpsilon(options.default_session_budget,
+                                           "default_session_budget"));
   if (data.domain().num_attributes() != policy.domain().num_attributes()) {
     return Status::InvalidArgument(
         "dataset and policy domains do not match");
@@ -73,8 +64,7 @@ ReleaseEngine::ReleaseEngine(Policy policy, Dataset data,
                  ? options.shared_cache
                  : std::make_shared<SensitivityCache>(128, options.metrics)),
       pool_(options.pool ? options.pool
-                         : std::make_shared<ThreadPool>(
-                               options.num_threads - 1, options.metrics)),
+                         : std::make_shared<ThreadPool>(0, options.metrics)),
       root_seed_(options.root_seed),
       metrics_(options.metrics != nullptr ? options.metrics
                                           : obs::MetricsRegistry::Global()),

@@ -15,13 +15,14 @@
 //     across engines (see server/engine_host.h): S(f, P) depends only on
 //     the policy and query shape, never on the data, so tenants serving
 //     different datasets under the same policy reuse each other's work;
-//   * a persistent worker pool (util/thread_pool.h) — either injected
-//     (one pool shared by every tenant of an EngineHost) or owned. A
-//     batch's queries are drained cooperatively: the submitting thread
-//     executes queries alongside the pool's workers, so a batch completes
-//     even when every pool worker is busy with other tenants (and nested
-//     submission — a batch task on the pool fanning out to the same pool —
-//     cannot deadlock). Each query draws noise from an independent Random
+//   * a persistent worker pool (util/thread_pool.h), injected — an
+//     EngineHost passes one pool to all of its tenants. Without one, the
+//     engine runs each batch on the submitting thread. A batch's queries
+//     are drained cooperatively: the submitting thread executes queries
+//     alongside the pool's workers, so a batch completes even when every
+//     pool worker is busy with other tenants (and nested submission — a
+//     batch task on the pool fanning out to the same pool — cannot
+//     deadlock). Each query draws noise from an independent Random
 //     forked deterministically from the engine's root seed (util/random.h
 //     Fork(stream_id)), so a batch's output is bit-identical regardless
 //     of pool size or scheduling.
@@ -137,15 +138,11 @@ using QueryCompletionCallback =
 class ThreadPool;
 
 struct ReleaseEngineOptions {
-  /// Execution parallelism when `pool` is null: the engine starts its own
-  /// persistent pool of num_threads - 1 workers at construction (the
-  /// batch-submitting thread is the remaining worker). Output is
-  /// identical for any value >= 1. Ignored when `pool` is set.
-  size_t num_threads = 1;
   /// Shared persistent worker pool. When set, batches execute on it (the
-  /// submitting thread participates too) instead of engine-owned threads;
-  /// the pool must outlive the engine. An EngineHost passes one pool to
-  /// all of its tenants.
+  /// submitting thread participates too); the pool must outlive the
+  /// engine. An EngineHost passes one pool to all of its tenants. Unset:
+  /// each batch runs on its submitting thread. Output is identical
+  /// either way, for any pool size.
   std::shared_ptr<ThreadPool> pool;
   /// Shared sensitivity cache. When set, it replaces the engine's private
   /// 128-entry cache; an EngineHost passes one process-wide cache to all
@@ -266,7 +263,8 @@ class ReleaseEngine {
   Histogram empty_hist_;
   /// Injected (options.shared_cache) or engine-private.
   std::shared_ptr<SensitivityCache> cache_;
-  /// Injected (options.pool) or engine-owned (num_threads - 1 workers).
+  /// Injected (options.pool), or a zero-worker pool that runs every
+  /// batch on its submitting thread.
   std::shared_ptr<ThreadPool> pool_;
   /// Per-query RNGs are Random(root_seed_).Fork(stream_id): derived from
   /// the seed alone, never from generator state, so determinism cannot be

@@ -94,6 +94,8 @@ BlowfishServer::BlowfishServer(EngineHost* host, ListenSocket listener,
           metrics_->GetCounter("net_drain_escalations_total")),
       accept_transient_errors_total_(
           metrics_->GetCounter("net_accept_transient_errors_total")),
+      protocol_errors_total_(
+          metrics_->GetCounter("net_protocol_errors_total")),
       transport_errors_total_(
           metrics_->GetCounter("net_transport_errors_total")),
       connections_rejected_total_(
@@ -225,11 +227,6 @@ void BlowfishServer::Stop() {
   }
   if (had_work) log("drain: complete");
   listener_.Close();
-}
-
-BlowfishServer::Stats BlowfishServer::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
 }
 
 void BlowfishServer::RunLoop(IoLoop* loop) {
@@ -378,10 +375,6 @@ void BlowfishServer::AcceptReady(IoLoop* loop) {
       return;
     }
     connections_total_->Increment();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.connections;
-    }
     if (options_.max_connections > 0 &&
         active_connections_.load() >= options_.max_connections) {
       // Over the cap: one structured ERR, then close. The frame is a
@@ -442,13 +435,9 @@ void BlowfishServer::ReadReady(IoLoop* loop, Connection* conn) {
     if (r == IoResult::kError) {
       // The transport failed mid-stream (peer reset, network error).
       // This is NOT a protocol error — the client said nothing wrong —
-      // so it gets its own counter; conflating the two made
-      // protocol_errors useless as a misbehaving-client signal.
+      // so it gets its own counter; conflating the two made the
+      // protocol-error count useless as a misbehaving-client signal.
       transport_errors_total_->Increment();
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.transport_errors;
-      }
       std::lock_guard<std::mutex> lk(conn->out_mu);
       conn->read_closed = true;
       AbandonLocked(conn);
@@ -682,10 +671,6 @@ void BlowfishServer::FinishBatchCollection(Connection* conn) {
           // increment happens-before the enqueue under out_mu, which
           // happens-before the peer reading the frame).
           batches_total_->Increment();
-          {
-            std::lock_guard<std::mutex> lock(mu_);
-            ++stats_.batches;
-          }
           // Final receipt state (refunds applied, charges settled),
           // then the batch barrier. All echo the client's trace
           // context and batch tag so a pipelining client can match
@@ -1014,11 +999,10 @@ void BlowfishServer::OutputError(Connection* conn, const Status& status,
 
 void BlowfishServer::ProtocolError(Connection* conn,
                                    const Status& status) {
+  // Counted before the ERR is enqueued, so a client that has read it
+  // sees the error in any later STATS snapshot.
+  protocol_errors_total_->Increment();
   OutputError(conn, status);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.protocol_errors;
-  }
   // Bad protocol poisons the connection (the framing state is
   // suspect): stop reading, deliver what is buffered, close.
   CloseAfterFlush(conn);

@@ -169,20 +169,6 @@ class BlowfishServer {
 
   EngineHost& host() { return *host_; }
 
-  struct Stats {
-    uint64_t connections = 0;
-    uint64_t batches = 0;
-    /// The client spoke bad protocol (framing violation, malformed
-    /// message, wrong verb). Transport failures are NOT in here.
-    uint64_t protocol_errors = 0;
-    /// The transport failed mid-read (peer reset, recv error) — the
-    /// client's network died, not its protocol. Counted apart from
-    /// protocol_errors so an ops dashboard can tell flaky networks
-    /// from buggy clients.
-    uint64_t transport_errors = 0;
-  };
-  Stats stats() const;
-
  private:
   struct IoLoop;
 
@@ -299,7 +285,7 @@ class BlowfishServer {
   void OutputError(Connection* conn, const Status& status,
                    const std::string& batch_tag = "");
 
-  /// ERR + protocol_errors accounting + connection close-after-flush:
+  /// ERR + net_protocol_errors_total + connection close-after-flush:
   /// the client spoke bad protocol.
   void ProtocolError(Connection* conn, const Status& status);
 
@@ -371,8 +357,7 @@ class BlowfishServer {
   /// Currently registered (accepted, not reaped) connections — the
   /// connection-cap decision variable.
   std::atomic<size_t> active_connections_{0};
-  mutable std::mutex mu_;  // guards stats_, err_counters_
-  Stats stats_;
+  std::mutex mu_;  // guards err_counters_
   /// Wire-layer telemetry (obs/metrics.h). The registry pointer and the
   /// fixed handles are resolved at construction and never null; the
   /// per-code ERR counters resolve lazily under mu_. Hot-path updates
@@ -393,6 +378,14 @@ class BlowfishServer {
   obs::Counter* connections_dead_total_;
   obs::Counter* drain_escalations_total_;
   obs::Counter* accept_transient_errors_total_;
+  /// The client spoke bad protocol (framing violation, malformed
+  /// message, wrong verb): the connection is closed. A batch-scoped ERR
+  /// (a malformed request line) is not one.
+  obs::Counter* protocol_errors_total_;
+  /// The transport failed mid-read (peer reset, recv error) — the
+  /// client's network died, not its protocol. Counted apart from
+  /// protocol errors so an ops dashboard can tell flaky networks from
+  /// buggy clients.
   obs::Counter* transport_errors_total_;
   obs::Counter* connections_rejected_total_;
   obs::Counter* idle_evictions_total_;

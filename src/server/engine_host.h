@@ -6,7 +6,7 @@
 // isolation is per tenant), while every engine shares
 //
 //   * one persistent ThreadPool, so a process hosting fifty tenants runs
-//     a bounded worker set instead of fifty * num_threads threads, and
+//     one bounded worker set, not a pool per tenant, and
 //   * one process-wide SensitivityCache: S(f, P) depends on the policy
 //     and query shape only, never on the data, so tenants serving
 //     different datasets under the same policy reuse each other's

@@ -47,6 +47,26 @@ StatusOr<std::pair<Policy, Dataset>> LoadTenantData(
   return std::make_pair(std::move(parsed.policy), std::move(data));
 }
 
+Status OpenTenantSessions(const TenantConfig& tenant,
+                          BudgetAccountant& accountant) {
+  auto in_tenant = [&tenant](const Status& status) {
+    return Status(status.code(),
+                  "tenant '" + tenant.name + "': " + status.message());
+  };
+  Status valid = ValidateEpsilon(tenant.budget, "budget");
+  if (!valid.ok()) return in_tenant(valid);
+  for (const auto& [name, budget] : tenant.sessions) {
+    Status opened = accountant.OpenSession(name, budget);
+    if (!opened.ok()) return in_tenant(opened);
+  }
+  if (tenant.ledger_file.empty()) return Status::OK();
+  Status loaded = accountant.LoadFromFile(tenant.ledger_file);
+  if (loaded.ok() || loaded.code() == StatusCode::kNotFound) {
+    return Status::OK();
+  }
+  return in_tenant(loaded);
+}
+
 StatusOr<std::unique_ptr<EngineHost>> BuildHostFromConfig(
     const ServeConfig& config) {
   EngineHostOptions host_options;
@@ -65,19 +85,8 @@ StatusOr<std::unique_ptr<EngineHost>> BuildHostFromConfig(
                         tenant_options));
     BLOWFISH_ASSIGN_OR_RETURN(ReleaseEngine * engine,
                               host->engine(tenant.policy_file, tenant.name));
-    for (const auto& [name, budget] : tenant.sessions) {
-      BLOWFISH_RETURN_IF_ERROR(engine->accountant().OpenSession(name, budget));
-    }
-    if (!tenant.ledger_file.empty()) {
-      // The ledger carries spend from earlier processes and overrides
-      // the opening balances above. A missing file is a cold start.
-      Status loaded_ledger =
-          engine->accountant().LoadFromFile(tenant.ledger_file);
-      if (!loaded_ledger.ok() &&
-          loaded_ledger.code() != StatusCode::kNotFound) {
-        return loaded_ledger;
-      }
-    }
+    BLOWFISH_RETURN_IF_ERROR(
+        OpenTenantSessions(tenant, engine->accountant()));
   }
   return host;
 }

@@ -1,8 +1,11 @@
-// Builds a fully-registered EngineHost from a serve config — the
-// common startup path of `blowfish_cli serve`, `blowfish_cli sessions`,
-// and the `blowfish_serverd` daemon (tools/blowfish_serverd.cc). One
-// implementation so the three front ends cannot drift on how tenants
-// are loaded, sessions opened, or persistence wired.
+// Builds a fully-registered EngineHost from a serve config, and flushes
+// it back — the startup and flush path of every front end:
+// `blowfish_cli serve`, `blowfish_cli batch` and the single-shot query
+// commands (a one-tenant config built from their flags), and the
+// `blowfish_serverd` daemon (tools/blowfish_serverd.cc).
+// `blowfish_cli sessions` builds no engine but opens budgets through
+// the same step. One implementation, so the front ends cannot drift on
+// how tenants are loaded, sessions opened, or ledgers loaded and saved.
 
 #ifndef BLOWFISH_SERVER_HOST_BUILDER_H_
 #define BLOWFISH_SERVER_HOST_BUILDER_H_
@@ -13,6 +16,7 @@
 
 #include "core/dataset.h"
 #include "core/policy.h"
+#include "engine/budget_accountant.h"
 #include "server/engine_host.h"
 #include "server/serve_config.h"
 #include "util/status.h"
@@ -30,11 +34,18 @@ StatusOr<ServeConfig> LoadServeConfigFile(const std::string& path);
 StatusOr<std::pair<Policy, Dataset>> LoadTenantData(
     const TenantConfig& tenant);
 
-/// Builds the host and registers every tenant from the config: opens
-/// each tenant's declared budget sessions and loads per-tenant ledgers
-/// (missing = no prior spend). Tenant keys are (policy file, tenant
-/// name). Fails if any tenant's engine refuses its policy, data or
-/// budget (EngineHost::AddTenant).
+/// The budget half of standing up a tenant: refuses a `budget =` that
+/// is not finite and >= 0, opens each `session =` line on `accountant`,
+/// then loads the `ledger =` file over them — the file carries spend
+/// from earlier processes and overrides the opening balances; a missing
+/// file is a cold start. Errors name the tenant.
+Status OpenTenantSessions(const TenantConfig& tenant,
+                          BudgetAccountant& accountant);
+
+/// Builds the host and registers every tenant from the config, running
+/// OpenTenantSessions on each tenant engine's accountant. Tenant keys
+/// are (policy file, tenant name). Fails if any tenant's engine refuses
+/// its policy, data or budget (EngineHost::AddTenant).
 StatusOr<std::unique_ptr<EngineHost>> BuildHostFromConfig(
     const ServeConfig& config);
 

@@ -24,6 +24,8 @@ std::string Trim(const std::string& text) {
   return text.substr(begin, end - begin);
 }
 
+}  // namespace
+
 Status ApplyHostKey(const std::string& key, const std::string& value,
                     const std::string& context, ServeConfig* config) {
   if (key == "threads") {
@@ -114,8 +116,6 @@ Status ApplyTenantKey(const std::string& key, const std::string& value,
   }
   return Status::InvalidArgument("unknown tenant key " + context);
 }
-
-}  // namespace
 
 StatusOr<ServeConfig> ParseServeConfig(const std::string& text) {
   ServeConfig config;

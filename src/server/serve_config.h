@@ -1,4 +1,6 @@
-// Host configuration files for `blowfish_cli serve` / `sessions`.
+// Host configuration files for `blowfish_cli serve` / `sessions` and
+// `blowfish_serverd`. `blowfish_cli batch` and the single-shot query
+// commands build a one-tenant config from their flags instead.
 //
 // A config is newline-separated `key = value` pairs; `#` comments and
 // blank lines are ignored, parsing is strict. Keys before the first
@@ -58,6 +60,16 @@ struct ServeConfig {
   std::optional<uint64_t> seed;
   std::vector<TenantConfig> tenants;
 };
+
+/// Apply one host key to `config`, or one tenant-block key to `tenant`
+/// (the header comment lists both); `context` names the key in errors.
+/// ParseServeConfig calls them for each config line, and the front ends
+/// for each flag that sets the same value (`--threads`, `--seed`, and
+/// `batch`'s `--csv`, `--budget`, ...), so a flag is read as its key is.
+Status ApplyHostKey(const std::string& key, const std::string& value,
+                    const std::string& context, ServeConfig* config);
+Status ApplyTenantKey(const std::string& key, const std::string& value,
+                      const std::string& context, TenantConfig* tenant);
 
 /// Parses a serve config (see the header comment for the grammar).
 /// Requires at least one tenant; every tenant needs `policy` and `csv`;

@@ -202,9 +202,12 @@ TEST(NetE2eTest, WireIsBitIdenticalToInProcessAcrossPoolSizes) {
     // wire. Batches run in the same global order on both, so admission
     // histories — and therefore noise streams, receipts, charge ids,
     // and cache hit patterns — match exactly.
+    obs::MetricsRegistry registry;
     auto local_host = MakeHost(pool);
-    auto wire_host = MakeHost(pool);
-    auto server = BlowfishServer::Start(wire_host.get());
+    auto wire_host = MakeHost(pool, &registry);
+    ServerOptions server_options;
+    server_options.metrics = &registry;
+    auto server = BlowfishServer::Start(wire_host.get(), server_options);
     ASSERT_TRUE(server.ok()) << server.status().ToString();
 
     auto client_a = BlowfishClient::Connect("127.0.0.1", (*server)->port(),
@@ -239,10 +242,9 @@ TEST(NetE2eTest, WireIsBitIdenticalToInProcessAcrossPoolSizes) {
     EXPECT_TRUE((*client_a)->Bye().ok());
     EXPECT_TRUE((*client_b)->Bye().ok());
     (*server)->Stop();
-    const BlowfishServer::Stats stats = (*server)->stats();
-    EXPECT_EQ(stats.connections, 2u);
-    EXPECT_EQ(stats.batches, 6u);
-    EXPECT_EQ(stats.protocol_errors, 0u);
+    EXPECT_EQ(registry.GetCounter("net_connections_total")->Value(), 2u);
+    EXPECT_EQ(registry.GetCounter("net_batches_total")->Value(), 6u);
+    EXPECT_EQ(registry.GetCounter("net_protocol_errors_total")->Value(), 0u);
   }
 }
 
@@ -419,7 +421,8 @@ TEST(NetE2eTest, MultiClientSoakKeepsBudgetArithmeticExact) {
             kClients * kBatches * 1.0);
 
   (*server)->Stop();
-  EXPECT_EQ((*server)->stats().batches, kClients * kBatches);
+  EXPECT_EQ(registry.GetCounter("net_batches_total")->Value(),
+            kClients * kBatches);
   audit.Close();
 
   // The headline audit guarantee under concurrency: 8 clients' charges
@@ -900,8 +903,11 @@ TEST(NetE2eTest, HealthVerbReportsReadinessAndBudgetGauges) {
 }
 
 TEST(NetE2eTest, ProtocolViolationsGetStructuredErrors) {
-  auto host = MakeHost(1);
-  auto server = BlowfishServer::Start(host.get());
+  obs::MetricsRegistry registry;
+  auto host = MakeHost(1, &registry);
+  ServerOptions server_options;
+  server_options.metrics = &registry;
+  auto server = BlowfishServer::Start(host.get(), server_options);
   ASSERT_TRUE(server.ok());
   const uint16_t port = (*server)->port();
 
@@ -967,7 +973,7 @@ TEST(NetE2eTest, ProtocolViolationsGetStructuredErrors) {
   }
 
   (*server)->Stop();
-  EXPECT_GE((*server)->stats().protocol_errors, 2u);
+  EXPECT_GE(registry.GetCounter("net_protocol_errors_total")->Value(), 2u);
 }
 
 TEST(NetE2eTest, OversizedResponsePayloadBecomesAStructuredError) {

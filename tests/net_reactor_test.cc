@@ -219,9 +219,12 @@ TEST(NetReactorTest, PipelinedBatchesDemuxOnOneConnection) {
   // Zero pool workers: the engine runs each batch inline on the I/O
   // thread the moment its last REQ arrives, so server-side execution
   // order is submission order — every interleaving below is exact.
-  auto wire_host = MakeHost(0);
+  obs::MetricsRegistry registry;
+  auto wire_host = MakeHost(0, &registry);
   auto local_host = MakeHost(0);
-  auto server = BlowfishServer::Start(wire_host.get());
+  ServerOptions options;
+  options.metrics = &registry;
+  auto server = BlowfishServer::Start(wire_host.get(), options);
   ASSERT_TRUE(server.ok()) << server.status().ToString();
   auto client = BlowfishClient::Connect("127.0.0.1", (*server)->port(),
                                         kPolicyId, kTenantA);
@@ -270,18 +273,20 @@ TEST(NetReactorTest, PipelinedBatchesDemuxOnOneConnection) {
 
   EXPECT_TRUE((*client)->Bye().ok());
   (*server)->Stop();
-  const BlowfishServer::Stats stats = (*server)->stats();
-  EXPECT_EQ(stats.connections, 1u);
-  EXPECT_EQ(stats.batches, 2u);
-  EXPECT_EQ(stats.protocol_errors, 0u);
-  EXPECT_EQ(stats.transport_errors, 0u);
+  EXPECT_EQ(RegistryValue(&registry, "net_connections_total"), 1.0);
+  EXPECT_EQ(RegistryValue(&registry, "net_batches_total"), 2.0);
+  EXPECT_EQ(RegistryValue(&registry, "net_protocol_errors_total"), 0.0);
+  EXPECT_EQ(RegistryValue(&registry, "net_transport_errors_total"), 0.0);
 }
 
 TEST(NetReactorTest, PipelinedWireIsBitIdenticalAcrossPoolSizes) {
   for (size_t pool : {size_t{0}, size_t{1}, size_t{8}}) {
     const std::string context = "pool " + std::to_string(pool);
-    auto wire_host = MakeHost(pool);
-    auto server = BlowfishServer::Start(wire_host.get());
+    obs::MetricsRegistry registry;
+    auto wire_host = MakeHost(pool, &registry);
+    ServerOptions options;
+    options.metrics = &registry;
+    auto server = BlowfishServer::Start(wire_host.get(), options);
     ASSERT_TRUE(server.ok());
     auto client = BlowfishClient::Connect("127.0.0.1", (*server)->port(),
                                           kPolicyId, kTenantA);
@@ -321,8 +326,8 @@ TEST(NetReactorTest, PipelinedWireIsBitIdenticalAcrossPoolSizes) {
 
     EXPECT_TRUE((*client)->Bye().ok());
     (*server)->Stop();
-    EXPECT_EQ((*server)->stats().batches, 2u);
-    EXPECT_EQ((*server)->stats().protocol_errors, 0u);
+    EXPECT_EQ(RegistryValue(&registry, "net_batches_total"), 2.0);
+    EXPECT_EQ(RegistryValue(&registry, "net_protocol_errors_total"), 0.0);
   }
 }
 
@@ -454,9 +459,51 @@ TEST(NetReactorTest, TransportErrorsCountSeparatelyFromProtocolErrors) {
       },
       5000));
   (*server)->Stop();
-  const BlowfishServer::Stats stats = (*server)->stats();
-  EXPECT_EQ(stats.transport_errors, 1u);
-  EXPECT_EQ(stats.protocol_errors, 1u);  // only the bad verb
+  EXPECT_EQ(RegistryValue(&registry, "net_transport_errors_total"), 1.0);
+  // Only the bad verb.
+  EXPECT_EQ(RegistryValue(&registry, "net_protocol_errors_total"), 1.0);
+}
+
+TEST(NetReactorTest, StatsCountsProtocolErrorsButNotBatchErrors) {
+  obs::MetricsRegistry registry;
+  auto host = MakeHost(1, &registry);
+  ServerOptions options;
+  options.metrics = &registry;
+  auto server = BlowfishServer::Start(host.get(), options);
+  ASSERT_TRUE(server.ok());
+  const uint16_t port = (*server)->port();
+
+  // A malformed request line is a batch-scoped ERR: the connection
+  // stays usable, and the client spoke no bad protocol.
+  auto client =
+      BlowfishClient::Connect("127.0.0.1", port, kPolicyId, kTenantA);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  auto bad_batch = (*client)->SubmitBatchText("histogram eps=oops\n");
+  EXPECT_EQ(bad_batch.status().code(), StatusCode::kInvalidArgument);
+  auto good_batch = (*client)->SubmitBatchText("histogram eps=0.25\n");
+  ASSERT_TRUE(good_batch.ok()) << good_batch.status().ToString();
+  EXPECT_TRUE((*client)->Bye().ok());
+
+  // A bad verb before HELLO is a protocol error: ERR, then close.
+  {
+    auto bad = RawConn::Connect(port);
+    ASSERT_TRUE(bad.ok());
+    bad->Send("FROB");
+    EXPECT_EQ(ParseErrFrame(bad->Read()).code(),
+              StatusCode::kFailedPrecondition);
+  }
+
+  // Counted before the ERR went out, so STATS already reports it.
+  auto samples = BlowfishClient::FetchStats("127.0.0.1", port);
+  ASSERT_TRUE(samples.ok()) << samples.status().ToString();
+  double protocol_errors = -1.0;
+  for (const MetricSample& sample : *samples) {
+    if (sample.name == "net_protocol_errors_total") {
+      protocol_errors = sample.value;
+    }
+  }
+  EXPECT_EQ(protocol_errors, 1.0);
+  (*server)->Stop();
 }
 
 TEST(NetReactorTest, AcceptLoopSurvivesFdExhaustion) {
@@ -668,8 +715,9 @@ TEST(NetReactorTest, SoakHoldsThousandsIdlePlusActiveOnFixedThreads) {
   }
   idle.clear();  // closes 10k sockets; Stop() handles whatever remains
   (*server)->Stop();
-  EXPECT_EQ((*server)->stats().protocol_errors, 0u);
-  EXPECT_EQ((*server)->stats().batches, kActive * kBatchesEach);
+  EXPECT_EQ(RegistryValue(&registry, "net_protocol_errors_total"), 0.0);
+  EXPECT_EQ(RegistryValue(&registry, "net_batches_total"),
+            static_cast<double>(kActive * kBatchesEach));
 }
 
 TEST(NetReactorTest, EverySocketIsCloexec) {

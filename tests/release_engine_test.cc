@@ -142,9 +142,11 @@ TEST(ReleaseEngineTest, BatchIsDeterministicAcrossThreadCounts) {
 
   std::vector<std::vector<QueryResponse>> runs;
   for (size_t threads : {size_t{1}, size_t{4}}) {
+    // n-way parallelism: n - 1 workers plus the submitting thread.
+    auto pool = std::make_shared<ThreadPool>(threads - 1);
     ReleaseEngineOptions options;
     options.root_seed = kSeed;
-    options.num_threads = threads;
+    options.pool = pool;
     options.default_session_budget = 100.0;
     auto engine = MakeEngine(policy, data, options);
     runs.push_back(engine->ServeBatch(batch));
@@ -607,8 +609,8 @@ TEST(ReleaseEngineTest, RangeOutsideTheDomainIsRefusedBeforeAdmission) {
 }
 
 TEST(ReleaseEngineTest, EnginesOnASharedPoolStayDeterministic) {
-  // Two engines injected with one shared pool: output must match the
-  // engine-owned-pool runs bit for bit (determinism comes from stream
+  // Two engines injected with one shared pool: output must match a
+  // zero-worker pool's run bit for bit (determinism comes from stream
   // ids, not from which thread executes).
   auto domain = LineDomain(64);
   Policy policy = Policy::Line(domain).value();
@@ -618,7 +620,7 @@ TEST(ReleaseEngineTest, EnginesOnASharedPoolStayDeterministic) {
 
   ReleaseEngineOptions solo;
   solo.root_seed = kSeed;
-  solo.num_threads = 1;
+  solo.pool = std::make_shared<ThreadPool>(0);
   solo.default_session_budget = 100.0;
   auto reference = MakeEngine(policy, data, solo)->ServeBatch(batch);
 

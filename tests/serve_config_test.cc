@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "engine/budget_accountant.h"
 #include "server/engine_host.h"
 #include "server/host_builder.h"
 
@@ -190,6 +191,42 @@ TEST(ServeConfigTest, BuildHostRefusesATenantItCannotServe) {
               std::string::npos)
         << host.status().message();
   }
+}
+
+TEST(ServeConfigTest, OpenTenantSessionsOpensSessionsThenLoadsTheLedger) {
+  // The budget step BuildHostFromConfig runs on each engine's
+  // accountant and `blowfish_cli sessions` on a bare one.
+  TenantConfig tenant;
+  tenant.name = "a";
+  tenant.budget = -1.0;
+  {
+    BudgetAccountant accountant(10.0);
+    const Status refused = OpenTenantSessions(tenant, accountant);
+    EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(refused.message().find("tenant 'a': budget"),
+              std::string::npos)
+        << refused.message();
+  }
+  const std::string ledger =
+      ::testing::TempDir() + "/open_tenant_sessions.ledger";
+  std::remove(ledger.c_str());
+  tenant.budget = 10.0;
+  tenant.sessions = {{"s", 2.5}};
+  tenant.ledger_file = ledger;
+  {
+    // No ledger yet: a cold start at the session line's balance.
+    BudgetAccountant accountant(tenant.budget);
+    ASSERT_TRUE(OpenTenantSessions(tenant, accountant).ok());
+    EXPECT_EQ(accountant.Spent("s"), 0.0);
+    EXPECT_EQ(accountant.Remaining("s"), 2.5);
+    ASSERT_TRUE(accountant.ChargeSequential("s", 1.0).ok());
+    ASSERT_TRUE(accountant.SaveToFile(ledger).ok());
+  }
+  // The ledger loads over the session the config opened.
+  BudgetAccountant accountant(tenant.budget);
+  ASSERT_TRUE(OpenTenantSessions(tenant, accountant).ok());
+  EXPECT_EQ(accountant.Spent("s"), 1.0);
+  EXPECT_EQ(accountant.Remaining("s"), 1.5);
 }
 
 TEST(ServeConfigTest, SessionLineOpensThatSession) {

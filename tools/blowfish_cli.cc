@@ -28,16 +28,19 @@
 // quantiles, kmeans, ... — see src/engine/ops/) is a one-request
 // `batch`: the request is `<kind> eps=<eps>` plus every flag this file
 // does not own, as key=value (`range --lo 100 --hi 400` is the request
-// line `range eps=... lo=100 hi=400`), served through the same engine,
+// line `range eps=... lo=100 hi=400`), served through the same host,
 // output, ledger and cache path. No answer leaves the CLI any other way.
 // Every other command reads a fixed set of flags (CommandFlags below)
 // and refuses any other flag before it reads a file.
 // The `advise` command prints the predicted per-range-query error of each
 // strategy under the policy (mech/error_models.h) without touching data.
-// The `batch` command serves a whole request file through one
-// ReleaseEngine process (engine/release_engine.h): budget-accounted,
-// sensitivity-cached, fanned out over --threads workers, output identical
-// for any thread count. See engine/batch_request.h for the file format.
+// The `batch` command serves a whole request file on a one-tenant
+// EngineHost that server/host_builder.h builds and flushes, as for
+// `serve`: its tenant flags are the tenant's config keys (--ledger_file
+// is `ledger =`), and the tenant seed is --seed. Budget-accounted,
+// sensitivity-cached, run on --threads pool workers (none by default:
+// the calling thread), output identical for any thread count. See
+// engine/batch_request.h for the file format.
 // The `serve` command drives a multi-tenant EngineHost
 // (server/engine_host.h) from a config file (server/serve_config.h):
 // every tenant's request batch is submitted asynchronously up front and
@@ -83,7 +86,6 @@
 #include <vector>
 
 #include "core/policy_spec.h"
-#include "data/csv_loader.h"
 #include "engine/batch_request.h"
 #include "engine/release_engine.h"
 #include "mech/error_models.h"
@@ -122,48 +124,17 @@ int Fail(const std::string& message) {
   return 1;
 }
 
-StatusOr<std::vector<size_t>> ParseSizeList(const std::string& s,
-                                            const std::string& context) {
-  std::vector<size_t> out;
-  std::istringstream in(s);
-  std::string token;
-  while (std::getline(in, token, ',')) {
-    BLOWFISH_ASSIGN_OR_RETURN(uint64_t value,
-                              ParseNonNegativeInt(token, context));
-    out.push_back(static_cast<size_t>(value));
-  }
-  return out;
-}
-
-StatusOr<Dataset> LoadData(Args& args, const Policy& policy,
-                           const std::vector<size_t>& columns) {
-  const char* csv_path = args.Get("csv");
-  if (csv_path == nullptr) return Status::InvalidArgument("--csv required");
-  if (columns.size() != policy.domain().num_attributes()) {
-    return Status::InvalidArgument(
-        "number of --columns must match the policy's attributes");
-  }
-  std::vector<CsvColumnSpec> specs;
-  for (size_t i = 0; i < columns.size(); ++i) {
-    CsvColumnSpec spec;
-    spec.column = columns[i];
-    spec.attribute = policy.domain().attribute(i);
-    if (const char* bin = args.Get("bin_width")) {
-      BLOWFISH_ASSIGN_OR_RETURN(spec.bin_width,
-                                ParseFiniteDouble(bin, "--bin_width"));
-    }
-    specs.push_back(spec);
-  }
-  return LoadCsvFile(csv_path, specs);
-}
-
+/// Prints responses in the `batch` output shape. `remote` passes no
+/// requests: the kind names live server-side (the wire carries labels,
+/// not ops), so its header lines have no kind= field.
 void PrintResponses(const std::vector<QueryRequest>& requests,
                     const std::vector<QueryResponse>& responses) {
   for (size_t i = 0; i < responses.size(); ++i) {
-    const QueryRequest& req = requests[i];
     const QueryResponse& resp = responses[i];
-    std::printf("## query %zu kind=%s label=%s status=%s\n", i,
-                QueryKindName(req).c_str(), resp.label.c_str(),
+    const std::string kind =
+        requests.empty() ? "" : " kind=" + QueryKindName(requests[i]);
+    std::printf("## query %zu%s label=%s status=%s\n", i, kind.c_str(),
+                resp.label.c_str(),
                 resp.status.ok() ? "OK" : resp.status.ToString().c_str());
     if (!resp.status.ok()) {
       if (resp.receipt.refunded) {
@@ -227,17 +198,14 @@ StatusOr<ServeConfig> LoadServeConfig(Args& args) {
   if (config_path == nullptr) {
     return Status::InvalidArgument("--config <file> is required");
   }
-  BLOWFISH_ASSIGN_OR_RETURN(std::string text, ReadTextFile(config_path));
-  BLOWFISH_ASSIGN_OR_RETURN(ServeConfig config, ParseServeConfig(text));
-  if (const char* t = args.Get("threads")) {
-    BLOWFISH_ASSIGN_OR_RETURN(uint64_t threads,
-                              ParseNonNegativeInt(t, "--threads"));
-    config.threads = static_cast<size_t>(threads);
-  }
-  if (const char* s = args.Get("seed")) {
-    BLOWFISH_ASSIGN_OR_RETURN(uint64_t seed,
-                              ParseNonNegativeInt(s, "--seed"));
-    config.seed = seed;
+  BLOWFISH_ASSIGN_OR_RETURN(ServeConfig config,
+                            LoadServeConfigFile(config_path));
+  // --threads and --seed override the host keys of the same name.
+  for (const char* flag : {"threads", "seed"}) {
+    if (const char* value = args.Get(flag)) {
+      BLOWFISH_RETURN_IF_ERROR(
+          ApplyHostKey(flag, value, std::string("--") + flag, &config));
+    }
   }
   return config;
 }
@@ -348,36 +316,15 @@ int RunSessions(Args& args) {
   // works against a multi-tenant config.
   Status ledger = ApplyLedgerOverride(args, &*config);
   if (!ledger.ok()) return Fail(ledger.ToString());
-  // Without a ledger file, budgets are per-process: a fresh CLI
-  // invocation can only ever see the configured opening balances, which
-  // are fully determined by the config — no need to ingest any tenant's
-  // CSV or materialize engines to read those constants back. A tenant
-  // with a `ledger =` file (or the --ledger_file override) instead
-  // reports the persisted cross-process spend: opening balances merged
-  // with whatever earlier serve/batch processes charged and saved.
+  // No CSV is read and no engine built: a tenant's budgets are its
+  // config's opening balances, merged with the spend earlier processes
+  // saved to its ledger. The budget step is the one `serve` and the
+  // daemon run at startup, so a tenant they refuse is refused here.
   std::printf("tenant,session,budget,spent,remaining\n");
   for (const TenantConfig& tenant : config->tenants) {
-    std::set<std::string> seen;
     BudgetAccountant accountant(tenant.budget);
-    for (const auto& [name, budget] : tenant.sessions) {
-      // The same checks OpenSession would apply at serve time.
-      if (!seen.insert(name).second) {
-        return Fail("tenant '" + tenant.name + "': session '" + name +
-                    "' declared twice");
-      }
-      Status opened = accountant.OpenSession(name, budget);
-      if (!opened.ok()) {
-        return Fail("tenant '" + tenant.name + "': " + opened.ToString());
-      }
-    }
-    if (!tenant.ledger_file.empty()) {
-      Status loaded = accountant.LoadFromFile(tenant.ledger_file);
-      // A missing ledger means nothing was persisted yet — report the
-      // opening balances.
-      if (!loaded.ok() && loaded.code() != StatusCode::kNotFound) {
-        return Fail("tenant '" + tenant.name + "': " + loaded.ToString());
-      }
-    }
+    Status opened = OpenTenantSessions(tenant, accountant);
+    if (!opened.ok()) return Fail(opened.ToString());
     bool default_listed = false;
     for (const auto& session : accountant.ListSessions()) {
       default_listed = default_listed || session.name.empty();
@@ -393,40 +340,6 @@ int RunSessions(Args& args) {
     }
   }
   return 0;
-}
-
-/// Prints wire responses in the `batch` output shape. The kind names
-/// live server-side (the wire carries labels, not ops), so the header
-/// line has no kind= field.
-void PrintWireResponses(const std::vector<QueryResponse>& responses) {
-  for (size_t i = 0; i < responses.size(); ++i) {
-    const QueryResponse& resp = responses[i];
-    std::printf("## query %zu label=%s status=%s\n", i,
-                resp.label.c_str(),
-                resp.status.ok() ? "OK" : resp.status.ToString().c_str());
-    if (!resp.status.ok()) {
-      if (resp.receipt.refunded) {
-        std::printf("# refunded=%g remaining=%g session=%s\n",
-                    resp.receipt.charged, resp.receipt.remaining,
-                    resp.receipt.session.empty()
-                        ? "(default)"
-                        : resp.receipt.session.c_str());
-      }
-      continue;
-    }
-    std::printf(
-        "# sensitivity=%g cache_hit=%d eps=%g charged=%g remaining=%g "
-        "session=%s%s\n",
-        resp.sensitivity, resp.cache_hit ? 1 : 0, resp.receipt.epsilon,
-        resp.receipt.charged, resp.receipt.remaining,
-        resp.receipt.session.empty() ? "(default)"
-                                     : resp.receipt.session.c_str(),
-        resp.receipt.parallel ? " parallel=1" : "");
-    for (size_t v = 0; v < resp.values.size(); ++v) {
-      std::printf("%s%.6f", v == 0 ? "" : ",", resp.values[v]);
-    }
-    if (!resp.values.empty()) std::printf("\n");
-  }
 }
 
 int RunStats(Args& args) {
@@ -648,7 +561,7 @@ int RunRemote(Args& args) {
   if (pipeline == 1) {
     auto responses = (*client)->SubmitBatchText(*request_text, on_result);
     if (!responses.ok()) return Fail(responses.status().ToString());
-    if (!stream) PrintWireResponses(*responses);
+    if (!stream) PrintResponses({}, *responses);
   } else {
     // Pipelined mode: ship N copies of the batch back to back on one
     // connection (no reads in between), then claim them in submit
@@ -665,7 +578,7 @@ int RunRemote(Args& args) {
       std::printf("# batch %zu/%zu\n", i + 1, handles.size());
       auto responses = (*client)->AwaitBatch(handles[i], on_result);
       if (!responses.ok()) return Fail(responses.status().ToString());
-      if (!stream) PrintWireResponses(*responses);
+      if (!stream) PrintResponses({}, *responses);
     }
   }
   Status bye = (*client)->Bye();
@@ -797,61 +710,57 @@ int RunCli(Args args) {
     requests = std::move(*parsed_requests);
   }
 
-  std::vector<size_t> columns = {0};
-  if (const char* c = args.Get("columns")) {
-    auto parsed_columns = ParseSizeList(c, "--columns");
-    if (!parsed_columns.ok()) {
-      return Fail(parsed_columns.status().ToString());
-    }
-    columns = *parsed_columns;
-  }
-  if (const char* c = args.Get("column")) {
-    auto column = ParseNonNegativeInt(c, "--column");
-    if (!column.ok()) return Fail(column.status().ToString());
-    columns = {static_cast<size_t>(*column)};
-  }
-  auto data = LoadData(args, policy, columns);
-  if (!data.ok()) return Fail(data.status().ToString());
-  std::printf("# loaded %zu rows\n", data->size());
-
-  ReleaseEngineOptions options;
-  options.root_seed = seed;
+  // The batch runs on a one-tenant host that host_builder builds and
+  // flushes, as for `serve` and blowfish_serverd: each tenant flag is
+  // that tenant's config key, and the tenant seed is --seed.
+  if (args.Get("csv") == nullptr) return Fail("--csv required");
+  ServeConfig config;
+  // --threads n: n pool workers, as for `serve`. Without it, none: the
+  // batch runs on this thread.
+  config.threads = 0;
   if (const char* t = args.Get("threads")) {
-    auto threads = ParseNonNegativeInt(t, "--threads");
-    if (!threads.ok()) return Fail(threads.status().ToString());
-    options.num_threads = static_cast<size_t>(*threads);
+    Status applied = ApplyHostKey("threads", t, "--threads", &config);
+    if (!applied.ok()) return Fail(applied.ToString());
   }
-  if (const char* b = args.Get("budget")) {
-    auto budget = ParseFiniteDouble(b, "--budget");
-    if (!budget.ok()) return Fail(budget.status().ToString());
-    options.default_session_budget = *budget;
+  TenantConfig tenant;
+  tenant.name = "cli";
+  tenant.seed = seed;
+  // (flag, config key), applied in order: --column wins over --columns.
+  static const std::pair<const char*, const char*> kTenantFlags[] = {
+      {"policy", "policy"},       {"csv", "csv"},
+      {"columns", "columns"},     {"column", "columns"},
+      {"bin_width", "bin_width"}, {"budget", "budget"},
+      {"ledger_file", "ledger"}};
+  for (const auto& [flag, key] : kTenantFlags) {
+    const char* value = args.Get(flag);
+    if (value == nullptr) continue;
+    Status applied =
+        ApplyTenantKey(key, value, std::string("--") + flag, &tenant);
+    if (!applied.ok()) return Fail(applied.ToString());
   }
-  auto engine = ReleaseEngine::Create(policy, std::move(*data), options);
-  if (!engine.ok()) return Fail(engine.status().ToString());
-
-  const char* ledger_file = args.Get("ledger_file");
-  if (ledger_file != nullptr) {
-    Status loaded = (*engine)->accountant().LoadFromFile(ledger_file);
-    // A missing ledger means no prior spend, not an error.
-    if (!loaded.ok() && loaded.code() != StatusCode::kNotFound) {
-      return Fail(loaded.ToString());
-    }
-  }
+  config.tenants.push_back(std::move(tenant));
+  const TenantConfig& cli = config.tenants[0];
+  auto host = BuildHostFromConfig(config);
+  if (!host.ok()) return Fail(host.status().ToString());
+  ReleaseEngine* engine = (*host)->engine(cli.policy_file, cli.name).value();
+  std::printf("# loaded %zu rows\n", engine->data().size());
 
   QueryCompletionCallback on_complete;
   if (args.GetBool("stream")) on_complete = StreamPrinter("");
-  auto responses = (*engine)->ServeBatch(requests, on_complete);
-  if (!on_complete) PrintResponses(requests, responses);
-  PrintCacheStats((*engine)->cache());
-  std::printf("%s", (*engine)->accountant().ToString().c_str());
-  if (ledger_file != nullptr) {
-    Status saved = (*engine)->accountant().SaveToFile(ledger_file);
-    if (!saved.ok()) return Fail(saved.ToString());
-    std::printf("# budget ledger saved to %s\n", ledger_file);
+  auto responses =
+      (*host)->ServeBatch(cli.policy_file, cli.name, requests, on_complete);
+  if (!responses.ok()) return Fail(responses.status().ToString());
+  if (!on_complete) PrintResponses(requests, *responses);
+  PrintCacheStats((*host)->cache());
+  std::printf("%s", engine->accountant().ToString().c_str());
+  Status saved = SaveHostState(**host, config);
+  if (!saved.ok()) return Fail(saved.ToString());
+  if (!cli.ledger_file.empty()) {
+    std::printf("# budget ledger saved to %s\n", cli.ledger_file.c_str());
   }
   // A batch reports refusals per query; a single-shot command has one
   // query, so its refusal is the command's failure.
-  return single_shot && !responses[0].status.ok() ? 1 : 0;
+  return single_shot && !(*responses)[0].status.ok() ? 1 : 0;
 }
 
 }  // namespace

@@ -43,7 +43,9 @@
 // (net/client.h). docs/server.md documents the frame grammar and shows
 // a raw nc(1) transcript.
 
+#include <climits>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -135,7 +137,8 @@ int Run(int argc, char** argv) {
       auto n = ParseNonNegativeInt(v, "--io_threads");
       if (!n.ok()) return Fail(n.status().ToString());
       if (*n < 1) return Fail("--io_threads must be at least 1");
-      server_options.io_threads = static_cast<size_t>(*n);
+      if (*n > uint64_t(INT_MAX)) return Fail("--io_threads out of range");
+      server_options.io_threads = static_cast<int>(*n);
     } else if (flag == "--max_connections") {
       const char* v = value();
       if (v == nullptr) return Fail("--max_connections needs a value");
@@ -147,6 +150,11 @@ int Run(int argc, char** argv) {
       if (v == nullptr) return Fail("--idle_timeout_ms needs a value");
       auto n = ParseNonNegativeInt(v, "--idle_timeout_ms");
       if (!n.ok()) return Fail(n.status().ToString());
+      // An int field: a larger value would wrap to 0 or a negative,
+      // silently turning idle eviction off.
+      if (*n > uint64_t(INT_MAX)) {
+        return Fail("--idle_timeout_ms out of range");
+      }
       server_options.idle_timeout_ms = static_cast<int>(*n);
     } else if (flag == "--metrics_file") {
       const char* v = value();
@@ -178,9 +186,9 @@ int Run(int argc, char** argv) {
   auto config = LoadServeConfigFile(config_path);
   if (!config.ok()) return Fail(config.status().ToString());
   if (!threads_override.empty()) {
-    auto threads = ParseNonNegativeInt(threads_override, "--threads");
-    if (!threads.ok()) return Fail(threads.status().ToString());
-    config->threads = static_cast<size_t>(*threads);
+    Status threads =
+        ApplyHostKey("threads", threads_override, "--threads", &*config);
+    if (!threads.ok()) return Fail(threads.ToString());
   }
 
   // Open the tracer and audit log before the host exists so the very
@@ -247,7 +255,6 @@ int Run(int argc, char** argv) {
   std::printf("# draining: in-flight batches complete, ledgers flush\n");
   std::fflush(stdout);
   (*server)->Stop();
-  const BlowfishServer::Stats stats = (*server)->stats();
   Status saved = SaveHostState(**host, *config);
   if (!saved.ok()) return Fail(saved.ToString());
   if (!metrics_file.empty()) DumpMetrics(metrics_file);
@@ -260,11 +267,17 @@ int Run(int argc, char** argv) {
   obs::TraceWriter::Global()->Close();
   obs::AuditLog::Global()->Flush();
   obs::AuditLog::Global()->Close();
+  // The server reports into the process-wide registry; Stop() has
+  // quiesced every writer, so the counts are exact.
+  obs::MetricsRegistry* metrics = obs::MetricsRegistry::Global();
+  auto count = [metrics](const char* name) {
+    return static_cast<unsigned long long>(
+        metrics->GetCounter(name)->Value());
+  };
   std::printf("# served %llu batches over %llu connections "
               "(%llu protocol errors); state flushed\n",
-              static_cast<unsigned long long>(stats.batches),
-              static_cast<unsigned long long>(stats.connections),
-              static_cast<unsigned long long>(stats.protocol_errors));
+              count("net_batches_total"), count("net_connections_total"),
+              count("net_protocol_errors_total"));
   return 0;
 }
 
