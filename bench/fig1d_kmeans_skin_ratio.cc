@@ -8,13 +8,14 @@
 namespace blowfish {
 namespace {
 
-double MeanPrivateObjective(const Dataset& data, const Policy& policy,
-                            const KMeansOptions& opts, double eps,
-                            size_t reps, Random& rng) {
+double MeanPrivateObjective(const Histogram& hist,
+                            const std::vector<std::vector<double>>& rows,
+                            const Policy& policy, const KMeansOptions& opts,
+                            double eps, size_t reps, Random& rng) {
   double total = 0.0;
   for (size_t r = 0; r < reps; ++r) {
     Random fork = rng.Fork();
-    total += BlowfishKMeans(data, policy, eps, opts, fork).value().objective;
+    total += bench::PrivateObjective(hist, rows, policy, eps, opts, fork);
   }
   return total / static_cast<double>(reps);
 }
@@ -40,11 +41,13 @@ int Run() {
     Policy laplace = Policy::FullDomain(e.data->domain_ptr()).value();
     Policy blowfish128 =
         Policy::DistanceThreshold(e.data->domain_ptr(), 128.0).value();
+    const Histogram hist = e.data->CompleteHistogram().value();
+    const std::vector<std::vector<double>> rows = e.data->Points();
     for (double eps : {0.1, 0.5, 1.0}) {
       double obj_lap =
-          MeanPrivateObjective(*e.data, laplace, opts, eps, reps, rng);
+          MeanPrivateObjective(hist, rows, laplace, opts, eps, reps, rng);
       double obj_bf =
-          MeanPrivateObjective(*e.data, blowfish128, opts, eps, reps, rng);
+          MeanPrivateObjective(hist, rows, blowfish128, opts, eps, reps, rng);
       Summary s;
       s.mean = obj_lap / obj_bf;
       s.lower_quartile = s.mean;

@@ -116,18 +116,20 @@ BENCHMARK(BM_OHRangeQuery);
 void BM_KMeansIterationPrivate(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   Random rng(8);
-  std::vector<std::vector<double>> points(n, std::vector<double>(2));
-  for (auto& pt : points) {
-    pt[0] = rng.Uniform(0, 100);
-    pt[1] = rng.Uniform(0, 100);
+  // n rows uniform on the 101x101 grid, as h(D): SuLQ walks its
+  // non-empty cells.
+  const Domain grid = Domain::Grid(101, 2).value();
+  Histogram hist(grid.size());
+  for (size_t i = 0; i < n; ++i) {
+    hist.Add(static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(grid.size()) - 1)));
   }
   KMeansOptions opts;
   opts.k = 4;
   opts.iterations = 1;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        SuLQKMeans(points, {0, 0}, {100, 100}, 20.0, 2.0, 0.5, opts, rng)
-            .value());
+        SuLQKMeans(hist, grid, 20.0, 2.0, 0.5, opts, rng).value());
   }
   state.SetItemsProcessed(state.iterations() * n);
 }

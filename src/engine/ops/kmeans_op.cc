@@ -1,14 +1,18 @@
-// `kmeans` — Blowfish SuLQ k-means (Sec 6).
+// `kmeans` — Blowfish SuLQ k-means (Sec 6) over h(D).
 //
 //   kmeans eps=0.5 [k=4] [iters=10] [label=] [session=]
 //
-// Each iteration releases q_size (sensitivity 2) and q_sum (sensitivity
-// per Lemma 6.1); admission keys on max(S(q_sum), S(q_size)) so the
-// eps = 0 free-release rule only fires when *both* are free. Pinned-
-// constrained policies serve via the weighted chain bounds (Thm 8.2
-// generalized), with the cached max riding into the mechanism as both
-// sensitivity overrides. Payload:
-// { objective, c0_0..c0_{d-1}, c1_0.., ... }.
+// 1 <= k <= 64 and 1 <= iters <= 100 (the paper runs k = 4 for 10
+// iterations); anything else is refused at admission, before a charge
+// or a stream id, because a request's cost grows with k * iters. Each
+// iteration releases q_size (sensitivity 2) and q_sum (sensitivity per
+// Lemma 6.1); admission keys on max(S(q_sum), S(q_size)) so the eps = 0
+// free-release rule only fires when *both* are free. Pinned-constrained
+// policies serve via the weighted chain bounds (Thm 8.2 generalized),
+// with the cached max calibrating both releases. The mechanism reads
+// only h(D) and starts from centroids drawn uniformly in the domain
+// box. Payload: the k noisy centroids, k * d values
+// { c0_0..c0_{d-1}, c1_0.., ... }.
 
 #include <algorithm>
 #include <memory>
@@ -22,6 +26,11 @@
 
 namespace blowfish {
 namespace {
+
+/// Admission caps on a request's work: one iteration costs O(k * d)
+/// per non-empty cell of h(D).
+constexpr size_t kMaxK = 64;
+constexpr size_t kMaxIters = 100;
 
 /// Per-move weight of q_sum along a constrained chain: one move of one
 /// tuple from x to y shifts at most 2 ||x - y||_1 of per-cluster
@@ -56,6 +65,19 @@ class KMeansOp final : public QueryOp {
     return Status::OK();
   }
 
+  Status Validate(const Policy& policy) const override {
+    (void)policy;
+    if (options_.k == 0 || options_.k > kMaxK) {
+      return Status::InvalidArgument("k must be in [1, " +
+                                     std::to_string(kMaxK) + "]");
+    }
+    if (options_.iterations == 0 || options_.iterations > kMaxIters) {
+      return Status::InvalidArgument("iters must be in [1, " +
+                                     std::to_string(kMaxIters) + "]");
+    }
+    return Status::OK();
+  }
+
   StatusOr<std::string> SensitivityShape() const override {
     return std::string("kmeans");
   }
@@ -87,11 +109,6 @@ class KMeansOp final : public QueryOp {
     return std::max(q_sum, QSizeSensitivity(policy.graph()));
   }
 
-  bool NeedsHistogram() const override {
-    // K-means clusters embedded points (ctx.data), not histogram counts.
-    return false;
-  }
-
   StatusOr<std::vector<double>> Execute(const QueryExecContext& ctx,
                                         Random rng) const override {
     // sensitivity == 0 means the secret graph is edgeless: every
@@ -100,21 +117,22 @@ class KMeansOp final : public QueryOp {
     const double eps = ctx.sensitivity == 0.0 && ctx.epsilon <= 0.0
                            ? 1.0
                            : ctx.epsilon;
-    // Constrained policies ride the resolved chain bound into the
-    // mechanism as both overrides: the cache holds one scalar, so both
-    // releases calibrate to max(S_c(q_sum), S_c(q_size)) — sound, at
-    // the cost of slightly over-noising the smaller of the two.
-    // Unconstrained policies keep the mechanism's own Lemma 6.1 closed
-    // forms (identical values, identical release).
-    const double override_sens =
-        ctx.policy.has_constraints() ? ctx.sensitivity : -1.0;
+    // Constrained policies calibrate both releases to the resolved chain
+    // bound: the cache holds one scalar, max(S_c(q_sum), S_c(q_size)) —
+    // sound, at the cost of slightly over-noising the smaller of the
+    // two. Unconstrained policies use the Lemma 6.1 closed forms.
+    double qsum = ctx.sensitivity;
+    double qsize = ctx.sensitivity;
+    if (!ctx.policy.has_constraints()) {
+      BLOWFISH_ASSIGN_OR_RETURN(qsum, QSumSensitivity(ctx.policy));
+      qsize = QSizeSensitivity(ctx.policy.graph());
+    }
     BLOWFISH_ASSIGN_OR_RETURN(
-        KMeansResult result,
-        BlowfishKMeans(ctx.data, ctx.policy, eps, options_, rng,
-                       override_sens, override_sens));
+        Centroids centroids,
+        SuLQKMeans(ctx.hist, ctx.policy.domain(), qsum, qsize, eps,
+                   options_, rng));
     std::vector<double> out;
-    out.push_back(result.objective);
-    for (const auto& centroid : result.centroids) {
+    for (const auto& centroid : centroids) {
       out.insert(out.end(), centroid.begin(), centroid.end());
     }
     return out;

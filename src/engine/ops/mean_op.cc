@@ -55,9 +55,9 @@ class MeanOp final : public QueryOp {
   }
 
   Status ValidateData(const Policy& policy,
-                      const Dataset& data) const override {
+                      const Histogram& hist) const override {
     (void)policy;
-    if (data.size() == 0) {
+    if (hist.Total() <= 0.0) {
       // Refused at admission: n is public, so a doomed mean must not
       // charge budget only to refund it from Execute.
       return Status::FailedPrecondition("mean of an empty dataset");

@@ -84,9 +84,9 @@ Status QueryOp::Validate(const Policy& policy) const {
 }
 
 Status QueryOp::ValidateData(const Policy& policy,
-                             const Dataset& data) const {
+                             const Histogram& hist) const {
   (void)policy;
-  (void)data;
+  (void)hist;
   return Status::OK();
 }
 

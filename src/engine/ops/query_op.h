@@ -99,11 +99,13 @@ struct SensitivityEnv {
   size_t max_policy_graph_vertices = 24;
 };
 
-/// Everything an admitted query sees at execution time. The histogram is
-/// the dataset's complete histogram h(D), memoized by the engine — or
-/// empty for an op whose NeedsHistogram() is false.
+/// Everything an admitted query sees at execution time. `hist` is the
+/// dataset's complete histogram h(D), counted once when the engine is
+/// built; it is the only copy of the tenant's data an op can read.
 struct QueryExecContext {
   const Policy& policy;
+  /// A zero-row dataset over the policy's domain. No op reads it; it
+  /// stays only because wirebench/ initializes this struct positionally.
   const Dataset& data;
   const Histogram& hist;
   /// The request's privacy parameter.
@@ -136,13 +138,12 @@ class QueryOp {
   /// resolution. Default: OK.
   virtual Status Validate(const Policy& policy) const;
 
-  /// Cheap data-dependent preconditions (e.g. mean's non-empty
+  /// Cheap data-dependent preconditions on h(D) (e.g. mean's non-empty
   /// dataset), run right after Validate — still before sensitivity
   /// resolution and budget charging, so a failure refuses at admission
-  /// and no charge/refund pair is ever minted. Must not need h(D), which
-  /// the engine may not have counted yet. Default: OK.
+  /// and no charge/refund pair is ever minted. Default: OK.
   virtual Status ValidateData(const Policy& policy,
-                              const Dataset& data) const;
+                              const Histogram& hist) const;
 
   /// The query-shape string S(f, P) is cached under. Must determine the
   /// sensitivity together with the policy fingerprint: two ops with
@@ -162,11 +163,6 @@ class QueryOp {
   /// disjointness proof of parallel composition (Thm 4.2). Default:
   /// FailedPrecondition — the op is not eligible.
   virtual StatusOr<std::vector<uint64_t>> ParallelCells() const;
-
-  /// Whether Execute reads h(D) (ctx.hist). Default: true — correct for
-  /// every histogram-linear op; row consumers (k-means) override, so a
-  /// tenant that serves only them never counts h(D).
-  virtual bool NeedsHistogram() const { return true; }
 
   /// Runs the admitted query with its own deterministic RNG stream and
   /// returns the released payload (or the mechanism's error).

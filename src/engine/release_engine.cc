@@ -37,21 +37,21 @@ StatusOr<std::unique_ptr<ReleaseEngine>> ReleaseEngine::Create(
           std::to_string(i) + " ('" + da.name + "' vs '" + pa.name + "')");
     }
   }
-  // The refusal the first histogram query would hit, surfaced at
-  // construction, so which engines exist never depends on which query
-  // kinds arrive first.
-  if (data.domain().size() > Dataset::kMaxMaterializedDomain) {
-    return Status::ResourceExhausted(
-        "domain too large to materialize a complete histogram");
-  }
+  // h(D) is the engine's only copy of the data: every op reads it, and
+  // the rows go with `data` when Create returns. CompleteHistogram
+  // refuses domains over Dataset::kMaxMaterializedDomain.
+  BLOWFISH_ASSIGN_OR_RETURN(Histogram hist, data.CompleteHistogram());
+  BLOWFISH_ASSIGN_OR_RETURN(Dataset no_rows,
+                            Dataset::Create(data.domain_ptr(), {}));
   return std::unique_ptr<ReleaseEngine>(
-      new ReleaseEngine(std::move(policy), std::move(data), options));
+      new ReleaseEngine(std::move(policy), std::move(hist),
+                        std::move(no_rows), options));
 }
 
-ReleaseEngine::ReleaseEngine(Policy policy, Dataset data,
+ReleaseEngine::ReleaseEngine(Policy policy, Histogram hist, Dataset no_rows,
                              ReleaseEngineOptions options)
-    : policy_(std::move(policy)), data_(std::move(data)),
-      options_(options),
+    : policy_(std::move(policy)), hist_(std::move(hist)),
+      no_rows_(std::move(no_rows)), options_(options),
       policy_fp_(SensitivityCache::PolicyFingerprint(policy_)),
       accountant_(options.default_session_budget,
                   options.metrics != nullptr
@@ -74,10 +74,6 @@ ReleaseEngine::ReleaseEngine(Policy policy, Dataset data,
                                       : obs::AuditLog::Global()) {
   batches_total_ = metrics_->GetCounter("engine_batches_total");
   batch_latency_us_ = metrics_->GetHistogram("engine_batch_latency_us");
-  scans_total_ = metrics_->GetCounter("engine_scans_total");
-  scan_shared_hits_total_ =
-      metrics_->GetCounter("engine_scan_shared_hits_total");
-  scan_latency_us_ = metrics_->GetHistogram("engine_scan_latency_us");
 }
 
 ReleaseEngine::~ReleaseEngine() = default;
@@ -131,10 +127,9 @@ StatusOr<double> ReleaseEngine::ResolveSensitivity(
       cache_hit);
 }
 
-void ReleaseEngine::Execute(const QueryRequest& request,
-                            const Histogram& hist, Random rng,
+void ReleaseEngine::Execute(const QueryRequest& request, Random rng,
                             QueryResponse* response) const {
-  const QueryExecContext ctx{policy_, data_, hist, request.epsilon,
+  const QueryExecContext ctx{policy_, no_rows_, hist_, request.epsilon,
                              response->sensitivity};
   StatusOr<std::vector<double>> released =
       request.op->Execute(ctx, std::move(rng));
@@ -148,9 +143,6 @@ void ReleaseEngine::Execute(const QueryRequest& request,
 struct ReleaseEngine::Work {
   size_t index = 0;
   uint64_t stream_id = 0;
-  /// The memoized h(D) or empty_hist_, stable for the engine's lifetime
-  /// and read-only during the drain.
-  const Histogram* hist = nullptr;
   /// Stable handle pointers resolved at admission (under serve_mu_), so
   /// the drain threads never touch the kind-metrics map.
   obs::Histogram* latency_us = nullptr;
@@ -217,7 +209,7 @@ std::vector<QueryResponse> ReleaseEngine::ServeBatch(
     // Data-dependent preconditions refuse here too — before any charge,
     // so a doomed query (e.g. mean over an empty dataset) never mints a
     // charge/refund pair in the audit log.
-    Status valid_data = requests[i].op->ValidateData(policy_, data_);
+    Status valid_data = requests[i].op->ValidateData(policy_, hist_);
     if (!valid_data.ok()) {
       responses[i].status = valid_data;
       continue;
@@ -456,37 +448,6 @@ std::vector<QueryResponse> ReleaseEngine::ServeBatch(
     }
   }
 
-  // --- Scan (sequential): the first admitted query that reads h(D)
-  // counts it, once per engine; the dataset is immutable, so every later
-  // query and batch reads the memo. Runs after charging so only a
-  // charged query can trigger the scan, and before stream assignment so
-  // a (theoretically) failed scan refuses the query exactly like a
-  // mechanism error — with a refund below.
-  std::vector<const Histogram*> hists(requests.size(), &empty_hist_);
-  const uint64_t scan_start_us = obs::MonotonicMicros();
-  for (size_t i = 0; i < requests.size(); ++i) {
-    if (!responses[i].status.ok() || !requests[i].op->NeedsHistogram()) {
-      continue;
-    }
-    if (hist_.has_value()) {
-      scan_shared_hits_total_->Increment();
-    } else {
-      const uint64_t pass_start_us = obs::MonotonicMicros();
-      StatusOr<Histogram> scanned = data_.CompleteHistogram();
-      scans_total_->Increment();
-      scan_latency_us_->Observe(obs::MonotonicMicros() - pass_start_us);
-      if (!scanned.ok()) {
-        // Unreachable while Create caps the domain; refuse the query and
-        // let the settlement pass refund its charge.
-        responses[i].status = scanned.status();
-        continue;
-      }
-      hist_ = std::move(*scanned);
-    }
-    hists[i] = &*hist_;
-  }
-  const uint64_t scan_end_us = obs::MonotonicMicros();
-
   // --- Admission pass 3 (sequential): assign RNG streams. ----------------
   // Stream ids are handed out in request order, so the noise a query draws
   // is a pure function of (root seed, admission history) — never of
@@ -496,8 +457,8 @@ std::vector<QueryResponse> ReleaseEngine::ServeBatch(
   for (size_t i = 0; i < requests.size(); ++i) {
     if (!responses[i].status.ok()) continue;
     const KindMetrics& km = KindMetricsFor(QueryKindName(requests[i]));
-    work.push_back(Work{i, next_stream_++, hists[i], km.latency_us,
-                        km.queries_total});
+    work.push_back(
+        Work{i, next_stream_++, km.latency_us, km.queries_total});
   }
 
   // --- Streaming: queries refused at admission complete right now, in
@@ -557,7 +518,7 @@ std::vector<QueryResponse> ReleaseEngine::ServeBatch(
       const Work& item = s->work[w];
       QueryResponse& response = (*s->responses)[item.index];
       const uint64_t exec_start_us = obs::MonotonicMicros();
-      s->engine->Execute((*s->requests)[item.index], *item.hist,
+      s->engine->Execute((*s->requests)[item.index],
                          Random(s->engine->root_seed_).Fork(item.stream_id),
                          &response);
       const uint64_t exec_us = obs::MonotonicMicros() - exec_start_us;
@@ -691,13 +652,12 @@ std::vector<QueryResponse> ReleaseEngine::ServeBatch(
       trace.Stamp(&span);
       tracer_->Write(std::move(span));
     };
-    // The four server-side engine phases of the causal tree:
-    // validate+sensitivity, the h(D) memo (a real pass at most once per
-    // engine), cooperative-drain execution, and refund/settle. ts_us is
-    // CLOCK_MONOTONIC microseconds — comparable across processes on one
-    // machine, so client and server spans merge onto one timeline.
+    // The three server-side engine phases of the causal tree:
+    // validate+sensitivity, cooperative-drain execution, and
+    // refund/settle. ts_us is CLOCK_MONOTONIC microseconds — comparable
+    // across processes on one machine, so client and server spans merge
+    // onto one timeline.
     phase_span("sensitivity", batch_start_us, sens_end_us);
-    phase_span("scan", scan_start_us, scan_end_us);
     phase_span("execute", exec_phase_start_us, exec_phase_end_us);
     phase_span("settle", settle_start_us, settle_end_us);
     for (size_t i = 0; i < requests.size(); ++i) {

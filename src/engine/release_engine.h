@@ -26,11 +26,10 @@
 //     forked deterministically from the engine's root seed (util/random.h
 //     Fork(stream_id)), so a batch's output is bit-identical regardless
 //     of pool size or scheduling.
-//   * the complete histogram h(D), memoized — the dataset is immutable,
-//     so the first admitted query that reads it
-//     (QueryOp::NeedsHistogram) counts it once per engine with
-//     Dataset::CompleteHistogram, and every later query and batch reads
-//     the memo.
+//   * the complete histogram h(D), counted once in Create with
+//     Dataset::CompleteHistogram. It is the engine's only copy of the
+//     data: every op reads it, no rows are kept, and an engine's memory
+//     is O(|T|) whatever the number of rows.
 //
 // The engine knows no query kind by name: every request carries a
 // QueryOp (engine/ops/query_op.h), and validation, sensitivity shape and
@@ -181,9 +180,9 @@ struct ReleaseEngineOptions {
 
 class ReleaseEngine {
  public:
-  /// Builds the engine: fingerprints the policy and refuses domains too
-  /// large to materialize a complete histogram. h(D) itself is counted
-  /// later, at the first admitted query that needs it.
+  /// Builds the engine: checks that the dataset's domain is the
+  /// policy's, counts h(D) (refusing domains too large to materialize
+  /// it) and fingerprints the policy. The rows are not kept.
   static StatusOr<std::unique_ptr<ReleaseEngine>> Create(
       Policy policy, Dataset data, ReleaseEngineOptions options = {});
 
@@ -218,14 +217,16 @@ class ReleaseEngine {
   BudgetAccountant& accountant() { return accountant_; }
   SensitivityCache& cache() { return *cache_; }
   const Policy& policy() const { return policy_; }
-  const Dataset& data() const { return data_; }
+  /// The complete histogram h(D); its Total() is the row count n.
+  const Histogram& hist() const { return hist_; }
   const std::string& policy_fingerprint() const { return policy_fp_; }
 
  private:
   struct Work;
   struct KindMetrics;
 
-  ReleaseEngine(Policy policy, Dataset data, ReleaseEngineOptions options);
+  ReleaseEngine(Policy policy, Histogram hist, Dataset no_rows,
+                ReleaseEngineOptions options);
 
   /// Per-kind metric handles, resolved lazily under serve_mu_ (admission
   /// is serialized, so the map never races; drain threads only see the
@@ -241,26 +242,18 @@ class ReleaseEngine {
                                       bool* cache_hit);
 
   /// Runs one admitted query with its own RNG; writes into `response`.
-  /// `hist` is the memoized h(D), or empty_hist_ for ops that do not
-  /// read it.
-  void Execute(const QueryRequest& request, const Histogram& hist,
-               Random rng, QueryResponse* response) const;
+  void Execute(const QueryRequest& request, Random rng,
+               QueryResponse* response) const;
 
   Policy policy_;
-  Dataset data_;
+  /// h(D), counted in Create; read-only from then on.
+  Histogram hist_;
+  /// A zero-row dataset over the policy's domain, for
+  /// QueryExecContext::data (which no op reads).
+  Dataset no_rows_;
   ReleaseEngineOptions options_;
   std::string policy_fp_;
   BudgetAccountant accountant_;
-  /// The memoized complete histogram h(D). Counted in ServeBatch's scan
-  /// phase, under serve_mu_, by the first admitted query that needs it;
-  /// read-only for the drain workers and every later batch (the dataset
-  /// is immutable). Empty until then, and forever for a tenant that
-  /// serves only ops that do not read it (k-means).
-  std::optional<Histogram> hist_;
-  /// Handed to ops that do not read h(D) (k-means): ctx.hist must bind
-  /// to something, and an empty histogram makes an accidental read fail
-  /// loudly rather than silently see stale counts.
-  Histogram empty_hist_;
   /// Injected (options.shared_cache) or engine-private.
   std::shared_ptr<SensitivityCache> cache_;
   /// Injected (options.pool), or a zero-worker pool that runs every
@@ -285,12 +278,6 @@ class ReleaseEngine {
   obs::AuditLog* audit_;
   obs::Counter* batches_total_;
   obs::Histogram* batch_latency_us_;
-  /// Scan telemetry: one scans_total tick + one latency observation for
-  /// the engine's one pass over the dataset; a shared-hit tick for every
-  /// later query served from the memo.
-  obs::Counter* scans_total_;
-  obs::Counter* scan_shared_hits_total_;
-  obs::Histogram* scan_latency_us_;
   std::map<std::string, std::unique_ptr<KindMetrics>> kind_metrics_;
   std::map<StatusCode, obs::Counter*> refusal_counters_;
   /// Serializes ServeBatch. An EngineHost already hands a tenant's

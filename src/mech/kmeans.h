@@ -1,5 +1,5 @@
-// K-means clustering (Sec 6): the non-private Lloyd baseline, SuLQ
-// private k-means (Blum et al. [2]), and its Blowfish variant.
+// K-means clustering (Sec 6): the non-private Lloyd baseline and SuLQ
+// private k-means (Blum et al. [2]) over the complete histogram h(D).
 //
 // Each iteration of private k-means asks two queries: q_size (cluster
 // sizes — sensitivity 2, a histogram) and q_sum (per-cluster coordinate
@@ -8,14 +8,19 @@
 // G^P Blowfish policies, Lemma 6.1). Calibrating q_sum's noise to the
 // policy-specific sensitivity is the entire Blowfish change; the paper's
 // Fig 1 measures the resulting accuracy gain.
+//
+// Both queries are linear in h(D), so SuLQ reads nothing else: it walks
+// h(D)'s non-empty cells weighted by their counts, and it starts from
+// centroids drawn uniformly in the domain box, so the noised q_size and
+// q_sum are the only data-dependent values it releases.
 
 #ifndef BLOWFISH_MECH_KMEANS_H_
 #define BLOWFISH_MECH_KMEANS_H_
 
 #include <vector>
 
-#include "core/dataset.h"
-#include "core/policy.h"
+#include "core/domain.h"
+#include "util/histogram.h"
 #include "util/random.h"
 #include "util/status.h"
 
@@ -26,51 +31,41 @@ struct KMeansOptions {
   size_t iterations = 10;  // the paper fixes 10 iterations
 };
 
+/// k centroids of d coordinates each.
+using Centroids = std::vector<std::vector<double>>;
+
 struct KMeansResult {
-  std::vector<std::vector<double>> centroids;
-  /// The k-means objective (Eqn 10) of the final centroids on the true
-  /// data: sum of squared L2 distances to the nearest centroid.
+  Centroids centroids;
+  /// The k-means objective (Eqn 10) of the final centroids on the data:
+  /// sum of squared L2 distances to the nearest centroid.
   double objective = 0.0;
 };
 
 /// The k-means objective (Eqn 10) for arbitrary centroids on `points`.
 double KMeansObjective(const std::vector<std::vector<double>>& points,
-                       const std::vector<std::vector<double>>& centroids);
+                       const Centroids& centroids);
 
-/// Non-private Lloyd iterations with random point initialization.
+/// Non-private Lloyd iterations from k random points — the Fig 1
+/// baseline.
 StatusOr<KMeansResult> LloydKMeans(
     const std::vector<std::vector<double>>& points, const KMeansOptions& opts,
     Random& rng);
 
-/// SuLQ-style private k-means: per iteration, cluster sizes and sums are
-/// released with Laplace noise. `box_lo`/`box_hi` bound the domain (noisy
-/// centroids are clamped into the box). The per-iteration budget
-/// eps/iterations is split evenly between q_size and q_sum.
-/// Pass qsum_sensitivity = 2 d(T) for eps-differential privacy or a
+/// SuLQ private k-means over `hist`, the complete histogram h(D) of a
+/// dataset on `domain`. The k initial centroids are drawn uniformly in
+/// the domain box [0, scale_i (|A_i| - 1)], centroid by centroid, before
+/// any noise. Each iteration assigns every non-empty cell to its nearest
+/// centroid, sums counts and integer coordinates per cluster (scaled
+/// once), and releases each cluster's size and then its d coordinate
+/// sums with Laplace noise; noisy sizes are floored at 1 and noisy
+/// centroids clamped into the box. The per-iteration budget
+/// eps/iterations is split evenly between q_size and q_sum. Pass
+/// qsum_sensitivity = 2 d(T) for eps-differential privacy or a
 /// policy-specific value (QSumSensitivity) for (eps, P)-Blowfish privacy.
-StatusOr<KMeansResult> SuLQKMeans(
-    const std::vector<std::vector<double>>& points,
-    const std::vector<double>& box_lo, const std::vector<double>& box_hi,
-    double qsum_sensitivity, double qsize_sensitivity, double epsilon,
-    const KMeansOptions& opts, Random& rng);
-
-/// Convenience wrapper: derives the box and both sensitivities from the
-/// policy (Lemma 6.1) and runs SuLQKMeans on the dataset's points,
-/// satisfying (eps, P)-Blowfish privacy. With a full-domain policy this is
-/// exactly the eps-differentially-private SuLQ k-means.
-///
-/// `qsum_override` / `qsize_override` >= 0 replace the Lemma 6.1
-/// unconstrained closed forms — the hook constrained-policy callers use:
-/// they compute the chained-move sensitivities themselves (weighted
-/// Thm 8.2 machinery, core/sensitivity.h) and stay responsible for
-/// their soundness, so the mechanism accepts constrained policies only
-/// when both overrides are supplied. The defaults (-1) keep the closed
-/// forms and refuse constrained policies.
-StatusOr<KMeansResult> BlowfishKMeans(const Dataset& data,
-                                      const Policy& policy, double epsilon,
-                                      const KMeansOptions& opts, Random& rng,
-                                      double qsum_override = -1.0,
-                                      double qsize_override = -1.0);
+StatusOr<Centroids> SuLQKMeans(const Histogram& hist, const Domain& domain,
+                               double qsum_sensitivity,
+                               double qsize_sensitivity, double epsilon,
+                               const KMeansOptions& opts, Random& rng);
 
 }  // namespace blowfish
 

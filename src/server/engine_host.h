@@ -13,11 +13,10 @@
 //     NP-hard policy-graph bounds.
 //
 // AddTenant builds the tenant's engine: ReleaseEngine::Create checks the
-// domains and fingerprints the policy but reads no rows, and h(D) is
-// counted at the first query that needs it, so a tenant that never
-// receives traffic never materializes its histogram. SubmitBatch
-// returns a std::future immediately, so many clients' batches
-// interleave on the same workers.
+// domains, counts h(D) and fingerprints the policy, and the rows are
+// dropped, so from AddTenant on a tenant holds O(|T|) memory for its
+// data instead of O(n). SubmitBatch returns a std::future immediately,
+// so many clients' batches interleave on the same workers.
 //
 // Each tenant has a FIFO strand: SubmitBatch appends the batch to the
 // tenant's queue, and at most one pool task drains that queue, one

@@ -61,11 +61,16 @@ TEST(IntegrationTest, KMeansPolicyStrengthOrdering) {
   opts.iterations = 10;
   const double eps = 0.4;
 
+  const Histogram hist = data.CompleteHistogram().value();
+  const auto points = data.Points();
   auto mean_objective = [&](const Policy& p) {
     double total = 0.0;
     const int reps = 12;
     for (int rep = 0; rep < reps; ++rep) {
-      total += BlowfishKMeans(data, p, eps, opts, rng).value().objective;
+      total += KMeansObjective(
+          points, SuLQKMeans(hist, data.domain(), QSumSensitivity(p).value(),
+                             QSizeSensitivity(p.graph()), eps, opts, rng)
+                      .value());
     }
     return total / reps;
   };
@@ -97,13 +102,20 @@ TEST(IntegrationTest, FinestPartitionIsNoiseless) {
   KMeansOptions opts;
   opts.k = 4;
   opts.iterations = 10;
+  const Histogram hist = data.CompleteHistogram().value();
+  // With zero sensitivity no noise is drawn, so epsilon cannot matter:
+  // from one seed, eps = 0.1 and eps = 1000 give the same centroids, bit
+  // for bit. (kmeans_test checks noiseless runs against a reference row
+  // walk from the same public start.)
+  const double qsum = QSumSensitivity(finest).value();
+  const double qsize = QSizeSensitivity(finest.graph());
   Random rng_a(77), rng_b(77);
-  auto noiseless =
-      BlowfishKMeans(data, finest, 0.1, opts, rng_a).value();
-  auto nonprivate = LloydKMeans(data.Points(), opts, rng_b).value();
-  // With zero sensitivity the "private" run degenerates to Lloyd's.
-  EXPECT_NEAR(noiseless.objective, nonprivate.objective,
-              1e-6 * std::max(1.0, nonprivate.objective));
+  auto at_small_eps = SuLQKMeans(hist, *dom, qsum, qsize, 0.1, opts, rng_a);
+  auto at_large_eps =
+      SuLQKMeans(hist, *dom, qsum, qsize, 1000.0, opts, rng_b);
+  ASSERT_TRUE(at_small_eps.ok()) << at_small_eps.status().ToString();
+  ASSERT_TRUE(at_large_eps.ok()) << at_large_eps.status().ToString();
+  EXPECT_EQ(*at_small_eps, *at_large_eps);
 }
 
 // Pipeline 4: the Sec 3.2 story end-to-end. DP noisy counts + public

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <memory>
+
+#include "core/dataset.h"
 
 namespace blowfish {
 namespace {
@@ -19,6 +24,22 @@ std::vector<std::vector<double>> FourClusters(size_t per_cluster,
     }
   }
   return points;
+}
+
+// FourClusters rounded onto the 51x51 scale-1 grid, whose domain box is
+// [0, 50]^2.
+Dataset FourClustersOnGrid(size_t per_cluster, Random& rng) {
+  auto dom = std::make_shared<const Domain>(Domain::Grid(51, 2).value());
+  std::vector<ValueIndex> tuples;
+  for (const auto& p : FourClusters(per_cluster, rng)) {
+    std::vector<uint64_t> levels;
+    for (double v : p) {
+      levels.push_back(static_cast<uint64_t>(
+          std::clamp(std::round(v), 0.0, 50.0)));
+    }
+    tuples.push_back(dom->Encode(levels));
+  }
+  return Dataset::Create(dom, std::move(tuples)).value();
 }
 
 TEST(KMeansObjectiveTest, ExactForKnownAssignment) {
@@ -60,30 +81,45 @@ TEST(LloydKMeansTest, RecoversWellSeparatedClusters) {
 
 TEST(SuLQKMeansTest, Validation) {
   Random rng(1);
+  const Domain line = Domain::Line(4).value();
+  const Histogram hist(std::vector<double>{1, 0, 1, 0});
   KMeansOptions opts;
   opts.k = 2;
-  std::vector<std::vector<double>> pts = {{1.0}, {2.0}};
-  EXPECT_FALSE(
-      SuLQKMeans(pts, {0.0}, {3.0}, 1.0, 2.0, 0.0, opts, rng).ok());
-  EXPECT_FALSE(
-      SuLQKMeans(pts, {0.0, 0.0}, {3.0}, 1.0, 2.0, 1.0, opts, rng).ok());
-  EXPECT_FALSE(
-      SuLQKMeans(pts, {0.0}, {3.0}, -1.0, 2.0, 1.0, opts, rng).ok());
-  EXPECT_TRUE(
-      SuLQKMeans(pts, {0.0}, {3.0}, 1.0, 2.0, 1.0, opts, rng).ok());
+  EXPECT_FALSE(SuLQKMeans(hist, line, 1.0, 2.0, 0.0, opts, rng).ok());
+  EXPECT_FALSE(SuLQKMeans(Histogram(3), line, 1.0, 2.0, 1.0, opts, rng).ok());
+  EXPECT_FALSE(SuLQKMeans(hist, line, -1.0, 2.0, 1.0, opts, rng).ok());
+  EXPECT_FALSE(SuLQKMeans(Histogram(std::vector<double>{1, 0.5, 0, 0}), line,
+                          1.0, 2.0, 1.0, opts, rng)
+                   .ok());
+  EXPECT_FALSE(SuLQKMeans(Histogram(std::vector<double>{1, -1, 0, 0}), line,
+                          1.0, 2.0, 1.0, opts, rng)
+                   .ok());
+  opts.k = 0;
+  EXPECT_FALSE(SuLQKMeans(hist, line, 1.0, 2.0, 1.0, opts, rng).ok());
+  opts.k = 2;
+  opts.iterations = 0;
+  EXPECT_FALSE(SuLQKMeans(hist, line, 1.0, 2.0, 1.0, opts, rng).ok());
+  opts.iterations = 3;
+  // k need not be at most n: the centroids are public draws, not rows.
+  opts.k = 5;
+  auto ok = SuLQKMeans(hist, line, 1.0, 2.0, 1.0, opts, rng);
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_EQ(ok->size(), 5u);
 }
 
 TEST(SuLQKMeansTest, CentroidsStayInBox) {
   Random rng(7);
-  auto points = FourClusters(50, rng);
+  Dataset data = FourClustersOnGrid(50, rng);
   KMeansOptions opts;
   opts.k = 4;
-  auto result = SuLQKMeans(points, {0.0, 0.0}, {50.0, 50.0},
-                           /*qsum_sensitivity=*/100.0,
-                           /*qsize_sensitivity=*/2.0,
-                           /*epsilon=*/0.1, opts, rng)
-                    .value();
-  for (const auto& c : result.centroids) {
+  auto centroids = SuLQKMeans(data.CompleteHistogram().value(), data.domain(),
+                              /*qsum_sensitivity=*/100.0,
+                              /*qsize_sensitivity=*/2.0,
+                              /*epsilon=*/0.1, opts, rng)
+                       .value();
+  ASSERT_EQ(centroids.size(), 4u);
+  for (const auto& c : centroids) {
+    ASSERT_EQ(c.size(), 2u);
     for (size_t d = 0; d < 2; ++d) {
       EXPECT_GE(c[d], 0.0);
       EXPECT_LE(c[d], 50.0);
@@ -96,7 +132,9 @@ TEST(SuLQKMeansTest, CentroidsStayInBox) {
 // utility mechanism in miniature.
 TEST(SuLQKMeansTest, LowerSensitivityGivesBetterObjective) {
   Random data_rng(17);
-  auto points = FourClusters(100, data_rng);
+  Dataset data = FourClustersOnGrid(100, data_rng);
+  const Histogram hist = data.CompleteHistogram().value();
+  const auto points = data.Points();
   KMeansOptions opts;
   opts.k = 4;
   opts.iterations = 10;
@@ -105,56 +143,108 @@ TEST(SuLQKMeansTest, LowerSensitivityGivesBetterObjective) {
   Random rng(19);
   const int reps = 30;
   for (int rep = 0; rep < reps; ++rep) {
-    obj_dp += SuLQKMeans(points, {0.0, 0.0}, {50.0, 50.0}, 200.0, 2.0, eps,
-                         opts, rng)
-                  .value()
-                  .objective;
-    obj_bf += SuLQKMeans(points, {0.0, 0.0}, {50.0, 50.0}, 10.0, 2.0, eps,
-                         opts, rng)
-                  .value()
-                  .objective;
+    obj_dp += KMeansObjective(
+        points,
+        SuLQKMeans(hist, data.domain(), 200.0, 2.0, eps, opts, rng).value());
+    obj_bf += KMeansObjective(
+        points,
+        SuLQKMeans(hist, data.domain(), 10.0, 2.0, eps, opts, rng).value());
   }
   EXPECT_LT(obj_bf, obj_dp);
 }
 
-TEST(BlowfishKMeansTest, EndToEndOnDataset) {
-  auto dom = std::make_shared<const Domain>(Domain::Grid(32, 2).value());
-  Random rng(23);
-  std::vector<ValueIndex> tuples;
-  for (int i = 0; i < 400; ++i) {
-    uint64_t x = static_cast<uint64_t>(rng.UniformInt(0, 31));
-    uint64_t y = static_cast<uint64_t>(rng.UniformInt(0, 31));
-    tuples.push_back(dom->Encode({x, y}));
+/// SuLQ written as a walk over the rows, independently of the
+/// mechanism: the same initial draws (uniform in the domain box,
+/// centroid by centroid), one nearest-centroid assignment per row
+/// (first centroid wins ties), and per cluster one q_size draw followed
+/// by d q_sum draws.
+Centroids ReferenceRowWalk(const Dataset& data, double qsum, double qsize,
+                           double eps, const KMeansOptions& opts,
+                           Random& rng) {
+  const Domain& dom = data.domain();
+  const size_t dim = dom.num_attributes();
+  std::vector<double> hi(dim);
+  for (size_t i = 0; i < dim; ++i) {
+    hi[i] = dom.attribute(i).scale *
+            static_cast<double>(dom.attribute(i).cardinality - 1);
   }
-  Dataset data = Dataset::Create(dom, tuples).value();
-  KMeansOptions opts;
-  opts.k = 2;
-  opts.iterations = 5;
-  for (auto policy :
-       {Policy::FullDomain(dom).value(),
-        Policy::DistanceThreshold(dom, 8.0).value(),
-        Policy::Attribute(dom).value(),
-        Policy::GridPartition(dom, {4, 4}).value()}) {
-    auto result = BlowfishKMeans(data, policy, 1.0, opts, rng);
-    ASSERT_TRUE(result.ok()) << policy.ToString();
-    EXPECT_EQ(result->centroids.size(), 2u);
-    EXPECT_GE(result->objective, 0.0);
+  Centroids centroids(opts.k, std::vector<double>(dim));
+  for (auto& c : centroids) {
+    for (size_t i = 0; i < dim; ++i) c[i] = rng.Uniform(0.0, hi[i]);
   }
+  const double eps_half =
+      eps / static_cast<double>(opts.iterations) / 2.0;
+  const auto rows = data.Points();
+  for (size_t iter = 0; iter < opts.iterations; ++iter) {
+    Centroids sums(opts.k, std::vector<double>(dim, 0.0));
+    std::vector<double> sizes(opts.k, 0.0);
+    for (const auto& p : rows) {
+      size_t best = 0;
+      double best_dist = std::numeric_limits<double>::infinity();
+      for (size_t c = 0; c < opts.k; ++c) {
+        double dist = 0.0;
+        for (size_t i = 0; i < dim; ++i) {
+          const double t = p[i] - centroids[c][i];
+          dist += t * t;
+        }
+        if (dist < best_dist) {
+          best_dist = dist;
+          best = c;
+        }
+      }
+      sizes[best] += 1.0;
+      for (size_t i = 0; i < dim; ++i) sums[best][i] += p[i];
+    }
+    for (size_t c = 0; c < opts.k; ++c) {
+      double size = sizes[c];
+      if (qsize > 0.0) size += rng.Laplace(qsize / eps_half);
+      size = std::max(size, 1.0);
+      for (size_t i = 0; i < dim; ++i) {
+        double sum = sums[c][i];
+        if (qsum > 0.0) sum += rng.Laplace(qsum / eps_half);
+        centroids[c][i] = std::clamp(sum / size, 0.0, hi[i]);
+      }
+    }
+  }
+  return centroids;
 }
 
-TEST(BlowfishKMeansTest, RejectsConstrainedPolicy) {
-  auto dom = std::make_shared<const Domain>(Domain::Line(8).value());
-  ConstraintSet cs;
-  cs.Add(CountQuery("low", [](ValueIndex x) { return x < 4; }));
-  Policy p = Policy::Create(dom, std::make_shared<FullGraph>(8),
-                            std::move(cs))
-                 .value();
-  Dataset data = Dataset::Create(dom, {1, 2, 3}).value();
-  Random rng(1);
+// On a scale-1 grid the cell sums are exact integers, so SuLQ over h(D)
+// reproduces the row walk bit for bit — on D, on a neighbour that moves
+// one row, and with zero sensitivities (the noiseless walk).
+TEST(SuLQKMeansTest, CellWalkMatchesReferenceRowWalkBitForBit) {
+  auto dom = std::make_shared<const Domain>(Domain::Grid(16, 2).value());
+  Random data_rng(29);
+  std::vector<ValueIndex> tuples;
+  for (int i = 0; i < 300; ++i) {
+    tuples.push_back(static_cast<ValueIndex>(
+        data_rng.UniformInt(0, static_cast<int64_t>(dom->size()) - 1)));
+  }
+  const Dataset data = Dataset::Create(dom, tuples).value();
+  const Dataset neighbour =
+      data.WithTuple(7, dom->Encode({15, 0})).value();
+  ASSERT_NE(data.tuple(7), neighbour.tuple(7));
   KMeansOptions opts;
-  opts.k = 1;
-  EXPECT_EQ(BlowfishKMeans(data, p, 1.0, opts, rng).status().code(),
-            StatusCode::kUnimplemented);
+  opts.k = 3;
+  opts.iterations = 5;
+  struct Scale {
+    double qsum, qsize;
+  };
+  for (const Dataset* d : {&data, &neighbour}) {
+    for (const Scale s : {Scale{60.0, 2.0}, Scale{4.0, 2.0}, Scale{0.0, 0.0}}) {
+      SCOPED_TRACE("qsum " + std::to_string(s.qsum));
+      for (uint64_t seed : {1u, 2u, 3u}) {
+        Random mech_rng(seed), ref_rng(seed);
+        const Centroids served =
+            SuLQKMeans(d->CompleteHistogram().value(), *dom, s.qsum, s.qsize,
+                       0.8, opts, mech_rng)
+                .value();
+        const Centroids reference =
+            ReferenceRowWalk(*d, s.qsum, s.qsize, 0.8, opts, ref_rng);
+        EXPECT_EQ(served, reference) << "seed " << seed;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -563,8 +563,8 @@ TEST(NetE2eTest, TelemetryDoesNotPerturbServedBytes) {
     tracer.Close();
 
     // The spans really were written: 3 batches x (queue_wait +
-    // sensitivity + scan + execute + settle phase spans + 4 query spans
-    // + 1 batch span), one JSON object per line. The server-side
+    // sensitivity + execute + settle phase spans + 4 query spans + 1
+    // batch span), one JSON object per line. The server-side
     // frame_write span is absent — this host's tracer is not wired
     // into the ServerOptions, mirroring a daemon run where only the
     // engine layer traces.
@@ -572,7 +572,7 @@ TEST(NetE2eTest, TelemetryDoesNotPerturbServedBytes) {
     std::vector<std::string> lines;
     std::string line;
     while (std::getline(trace, line)) lines.push_back(line);
-    ASSERT_EQ(lines.size(), 30u);
+    ASSERT_EQ(lines.size(), 27u);
     for (const std::string& l : lines) {
       EXPECT_EQ(l.front(), '{');
       EXPECT_EQ(l.back(), '}');

@@ -280,6 +280,40 @@ TEST(WaveletRangeOpTest, BatchFileErrorPaths) {
   EXPECT_EQ(refused[0].status.code(), StatusCode::kInvalidArgument);
 }
 
+TEST(KMeansOpTest, WorkCapsRefuseBeforeAnyChargeOrStream) {
+  // k and iters bound a kmeans request's work. Values outside
+  // [1, 64] x [1, 100] are refused in Validate: no charge, no refund,
+  // no RNG stream.
+  auto grid = std::make_shared<const Domain>(Domain::Grid(8, 2).value());
+  Policy policy = Policy::FullDomain(grid).value();
+  Dataset data = MakeData(grid, 200);
+  auto engine = MakeEngine(policy, data);
+  const std::vector<std::vector<std::pair<std::string, std::string>>>
+      refused = {{{"k", "0"}}, {{"k", "65"}}, {{"iters", "0"}},
+                 {{"iters", "101"}}};
+  for (const auto& args : refused) {
+    SCOPED_TRACE(args[0].first + "=" + args[0].second);
+    auto responses =
+        engine->ServeBatch({MakeQueryRequest("kmeans", 0.5, args).value()});
+    EXPECT_EQ(responses[0].status.code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(responses[0].receipt.charge_id, 0u);
+    EXPECT_FALSE(responses[0].receipt.refunded);
+  }
+  EXPECT_DOUBLE_EQ(engine->accountant().Spent(""), 0.0);
+  // The caps themselves serve k * d values, and the refusals consumed
+  // nothing: the engine serves them exactly as a fresh engine does.
+  auto fresh = MakeEngine(policy, data);
+  const QueryRequest at_caps =
+      MakeQueryRequest("kmeans", 0.5, {{"k", "64"}, {"iters", "100"}})
+          .value();
+  auto served = engine->ServeBatch({at_caps});
+  auto expected = fresh->ServeBatch({at_caps});
+  ASSERT_TRUE(served[0].status.ok()) << served[0].status.ToString();
+  EXPECT_EQ(served[0].values.size(), 64u * 2u);
+  EXPECT_EQ(served[0].values, expected[0].values);
+  EXPECT_EQ(served[0].receipt.charge_id, expected[0].receipt.charge_id);
+}
+
 TEST(QueryOpTest, KeyValueBagRejectsLeftoversAndKeepsLastValue) {
   KeyValueBag bag("on line 1");
   bag.Add("lo", "1");

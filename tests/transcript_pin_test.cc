@@ -1,13 +1,15 @@
 // Served-bytes pin: every registered QueryOp served through ReleaseEngine
 // at pool sizes {0, 1, 8}, on line and grid fixtures (unconstrained and
-// constrained twins of each), must reproduce a recorded transcript
-// digest — an FNV-1a hash over values, statuses, sensitivities and full
-// budget receipts. The digests were recorded from the engine as it stood
-// before its dataset scan paths were folded into one memoized h(D), so
-// every later deletion in the serving path is checked against the same
-// bytes, not merely against another path of the same build. A change
-// that moves served bytes on purpose (a re-keyed noise stream, say)
-// re-records the digests and says so.
+// constrained twins of each), must reproduce recorded transcript
+// digests — FNV-1a hashes over values, statuses, sensitivities and full
+// budget receipts. Each transcript is pinned as two digests: one over
+// every response except kmeans's, one over kmeans's alone. The
+// kmeans-free digests were recorded from the engine as it stood before
+// kmeans was served from h(D); the kmeans digests were re-recorded then,
+// because that change re-keyed kmeans's noise on purpose. Every later
+// deletion in the serving path is checked against the same bytes, not
+// merely against another path of the same build. A change that moves
+// served bytes on purpose re-records the digests it moves and says so.
 //
 // A final test drives the same contract over the wire: a daemon tenant
 // answers the whole-registry batch with the transcript of the in-process
@@ -80,22 +82,35 @@ std::vector<QueryRequest> WholeRegistryBatch() {
   return std::move(*requests);
 }
 
-/// FNV-1a over a transcript: status code and message, label, payload
-/// bits, sensitivity bits and every receipt field. Doubles hash by bit
-/// pattern, so the digest is exactly as strict as operator== on each
-/// value.
+/// The part of a transcript a digest covers: every response but
+/// kmeans's, or kmeans's alone (the whole-registry batch labels each
+/// request with its kind).
+enum class Part { kRest, kKMeans };
+
+/// FNV-1a over one part of a transcript: status code and message,
+/// label, payload bits, sensitivity bits and every receipt field.
+/// Doubles hash by bit pattern, so the digest is exactly as strict as
+/// operator== on each value.
 class TranscriptDigest {
  public:
+  explicit TranscriptDigest(Part part) : part_(part) {}
+
   void Add(const std::vector<QueryResponse>& responses) {
-    U64(responses.size());
+    std::vector<const QueryResponse*> kept;
     for (const QueryResponse& r : responses) {
-      U64(static_cast<uint64_t>(r.status.code()));
-      Str(r.status.message());
-      Str(r.label);
-      U64(r.values.size());
-      for (double v : r.values) F64(v);
-      F64(r.sensitivity);
-      const BudgetReceipt& receipt = r.receipt;
+      if ((r.label == "kmeans") == (part_ == Part::kKMeans)) {
+        kept.push_back(&r);
+      }
+    }
+    U64(kept.size());
+    for (const QueryResponse* r : kept) {
+      U64(static_cast<uint64_t>(r->status.code()));
+      Str(r->status.message());
+      Str(r->label);
+      U64(r->values.size());
+      for (double v : r->values) F64(v);
+      F64(r->sensitivity);
+      const BudgetReceipt& receipt = r->receipt;
       Str(receipt.session);
       Str(receipt.label);
       U64(receipt.charge_id);
@@ -125,11 +140,32 @@ class TranscriptDigest {
     for (char c : s) Byte(static_cast<uint8_t>(c));
   }
 
+  Part part_;
   uint64_t h_ = 14695981039346656037ull;
 };
 
-uint64_t Digest(const std::vector<QueryResponse>& responses) {
-  TranscriptDigest d;
+/// Both digests of a transcript.
+struct Digests {
+  uint64_t rest;
+  uint64_t kmeans;
+};
+
+/// Accumulates both digests over consecutive batches.
+class SplitDigest {
+ public:
+  void Add(const std::vector<QueryResponse>& responses) {
+    rest_.Add(responses);
+    kmeans_.Add(responses);
+  }
+  Digests value() const { return {rest_.value(), kmeans_.value()}; }
+
+ private:
+  TranscriptDigest rest_{Part::kRest};
+  TranscriptDigest kmeans_{Part::kKMeans};
+};
+
+Digests Digest(const std::vector<QueryResponse>& responses) {
+  SplitDigest d;
   d.Add(responses);
   return d.value();
 }
@@ -141,6 +177,11 @@ std::string Hex(uint64_t v) {
   return buf;
 }
 
+void ExpectDigests(const Digests& actual, const Digests& recorded) {
+  EXPECT_EQ(Hex(actual.rest), Hex(recorded.rest)) << "kmeans-free digest";
+  EXPECT_EQ(Hex(actual.kmeans), Hex(recorded.kmeans)) << "kmeans digest";
+}
+
 struct Fixture {
   std::string name;
   Policy policy;
@@ -149,13 +190,12 @@ struct Fixture {
   /// documented hier_range constrained holdout). Refusals are part of
   /// the transcript and of its digest, same as served payloads.
   std::vector<std::string> expected_refusals;
-  /// Digest of the fixture's first whole-registry batch on a fresh
+  /// Digests of the fixture's first whole-registry batch on a fresh
   /// engine — the same at every pool size.
-  uint64_t first_batch_digest;
-  /// Digest of three consecutive whole-registry batches on one engine:
-  /// the memoized h(D) served from the second batch on must not move a
-  /// byte.
-  uint64_t three_rounds_digest;
+  Digests first_batch;
+  /// Digests of three consecutive whole-registry batches on one engine:
+  /// a later batch reads the same h(D) under later stream ids.
+  Digests three_rounds;
 };
 
 /// Five fixtures covering the registry's whole domain/graph/constraint
@@ -183,7 +223,8 @@ std::vector<Fixture> Fixtures() {
             .value();
     out.push_back(Fixture{"unconstrained", std::move(policy), data,
                           {"hier_range", "quadtree"},
-                          0x42e17ff34d95cb37ull, 0x66b880df71a5b4edull});
+                          {0x475393e2df3b7705ull, 0xafd2c968c0d51415ull},
+                          {0xcb8d40fb02072ac6ull, 0x194e828b31e2b80cull}});
   }
   {
     auto part = PartitionGraph::UniformGrid(domain, {4}).value();
@@ -198,7 +239,8 @@ std::vector<Fixture> Fixtures() {
             .value();
     out.push_back(Fixture{"constrained", std::move(policy), data,
                           {"hier_range", "quadtree"},
-                          0x7d29a2abe27b7a07ull, 0x01d4bb75728859f5ull});
+                          {0x2c707305c8f9a291ull, 0x0789ea0a8b0cb6d0ull},
+                          {0x96af69b82af72e76ull, 0x6da916b4091eda29ull}});
   }
   {
     Policy policy =
@@ -206,7 +248,8 @@ std::vector<Fixture> Fixtures() {
             .value();
     out.push_back(Fixture{"line_graph", std::move(policy), std::move(data),
                           {"cell_histogram", "quadtree"},
-                          0x747e98e3a2884561ull, 0x5364588a0f768c09ull});
+                          {0xb1771f59a87c3148ull, 0xf79d35c57d0b9177ull},
+                          {0x5968c608d8a86f07ull, 0xd491835d77ea5220ull}});
   }
   auto grid =
       std::make_shared<const Domain>(Domain::Grid(8, 2).value());
@@ -218,8 +261,9 @@ std::vector<Fixture> Fixtures() {
                        std::shared_ptr<const SecretGraph>(part.release()))
             .value();
     out.push_back(Fixture{"grid_unconstrained", std::move(policy), grid_data,
-                          kGridRefusals, 0x6e716ba7a86e5cc8ull,
-                          0x32bf2e8d0da3f538ull});
+                          kGridRefusals,
+                          {0x4941eb32161fc431ull, 0x7fd1d88d268ac132ull},
+                          {0x433fddc1a5648748ull, 0x7949edb422c4cbbcull}});
   }
   {
     auto part = PartitionGraph::UniformGrid(grid, {2, 2}).value();
@@ -236,7 +280,8 @@ std::vector<Fixture> Fixtures() {
             .value();
     out.push_back(Fixture{"grid_constrained", std::move(policy),
                           std::move(grid_data), kGridRefusals,
-                          0xb1c456bcc777d913ull, 0x25e390b80860b114ull});
+                          {0xd734da9bc349d973ull, 0x65a3f981c1348cc8ull},
+                          {0x856d0b75cc216a3bull, 0x24e6d17b86086412ull}});
   }
   return out;
 }
@@ -276,33 +321,52 @@ TEST(TranscriptPinTest, AllOpsMatchRecordedDigestsAtEveryPoolSize) {
             << r.label << ": " << r.status.ToString();
       }
       EXPECT_GT(engine->accountant().Spent(""), 0.0);
-      EXPECT_EQ(Hex(Digest(responses)), Hex(f.first_batch_digest));
+      ExpectDigests(Digest(responses), f.first_batch);
     }
   }
 }
 
 TEST(TranscriptPinTest, RepeatedBatchesMatchRecordedDigest) {
-  // The engine memoizes h(D) at its first histogram query and serves
-  // every later batch from the memo; three consecutive batches must
-  // still reproduce the recorded three-round transcript.
+  // Three consecutive batches on one engine read the same h(D) under
+  // later stream ids and budgets; they must reproduce the recorded
+  // three-round transcript.
   for (const Fixture& f : Fixtures()) {
     SCOPED_TRACE("fixture " + f.name);
     auto engine = MakeEngine(f.policy, f.data);
-    TranscriptDigest digest;
+    SplitDigest digest;
     for (int round = 0; round < 3; ++round) {
       const std::vector<QueryResponse> responses =
           engine->ServeBatch(WholeRegistryBatch());
-      if (round == 0) {
-        EXPECT_EQ(Hex(Digest(responses)), Hex(f.first_batch_digest));
-      }
+      if (round == 0) ExpectDigests(Digest(responses), f.first_batch);
       digest.Add(responses);
     }
-    EXPECT_EQ(Hex(digest.value()), Hex(f.three_rounds_digest));
+    ExpectDigests(digest.value(), f.three_rounds);
+  }
+}
+
+TEST(TranscriptPinTest, KMeansReleasesOnlyItsCentroids) {
+  // kmeans's payload is its k noisy centroids, k * d values; nothing
+  // computed from the data without noise rides along.
+  auto op = QueryOpRegistry::Global().Create("kmeans");
+  ASSERT_TRUE(op.ok()) << op.status().ToString();
+  ASSERT_NE((*op)->ExampleArgs().find("k=2"), std::string::npos);
+  const size_t k = 2;
+  for (const Fixture& f : Fixtures()) {
+    SCOPED_TRACE("fixture " + f.name);
+    auto engine = MakeEngine(f.policy, f.data);
+    size_t served = 0;
+    for (const QueryResponse& r : engine->ServeBatch(WholeRegistryBatch())) {
+      if (r.label != "kmeans") continue;
+      ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+      EXPECT_EQ(r.values.size(), k * f.policy.domain().num_attributes());
+      ++served;
+    }
+    EXPECT_EQ(served, 1u);
   }
 }
 
 TEST(TranscriptPinTest, WireTranscriptMatchesRecordedDigest) {
-  // The full e2e path (parse -> admit -> scan -> execute -> frame) over
+  // The full e2e path (parse -> admit -> execute -> frame) over
   // a daemon: the tenant is the "unconstrained" fixture under the same
   // seed, so its wire transcript must hash to that fixture's digest.
   const Fixture f = Fixtures().front();
@@ -324,7 +388,7 @@ TEST(TranscriptPinTest, WireTranscriptMatchesRecordedDigest) {
   ASSERT_TRUE(responses.ok()) << responses.status().ToString();
   EXPECT_TRUE((*client)->Bye().ok());
   (*server)->Stop();
-  EXPECT_EQ(Hex(Digest(*responses)), Hex(f.first_batch_digest));
+  ExpectDigests(Digest(*responses), f.first_batch);
 }
 
 }  // namespace

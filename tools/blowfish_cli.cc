@@ -75,6 +75,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <deque>
 #include <exception>
 #include <fstream>
 #include <future>
@@ -319,14 +320,19 @@ int RunSessions(Args& args) {
   // No CSV is read and no engine built: a tenant's budgets are its
   // config's opening balances, merged with the spend earlier processes
   // saved to its ledger. The budget step is the one `serve` and the
-  // daemon run at startup, so a tenant they refuse is refused here.
-  std::printf("tenant,session,budget,spent,remaining\n");
+  // daemon run at startup, so a tenant they refuse is refused here —
+  // before anything is printed, so the output is all tenants or none.
+  std::deque<BudgetAccountant> accountants;
   for (const TenantConfig& tenant : config->tenants) {
-    BudgetAccountant accountant(tenant.budget);
-    Status opened = OpenTenantSessions(tenant, accountant);
+    accountants.emplace_back(tenant.budget);
+    Status opened = OpenTenantSessions(tenant, accountants.back());
     if (!opened.ok()) return Fail(opened.ToString());
+  }
+  std::printf("tenant,session,budget,spent,remaining\n");
+  for (size_t t = 0; t < config->tenants.size(); ++t) {
+    const TenantConfig& tenant = config->tenants[t];
     bool default_listed = false;
-    for (const auto& session : accountant.ListSessions()) {
+    for (const auto& session : accountants[t].ListSessions()) {
       default_listed = default_listed || session.name.empty();
       std::printf("%s,%s,%g,%g,%g\n", tenant.name.c_str(),
                   session.name.empty() ? "(default)" : session.name.c_str(),
@@ -743,7 +749,8 @@ int RunCli(Args args) {
   auto host = BuildHostFromConfig(config);
   if (!host.ok()) return Fail(host.status().ToString());
   ReleaseEngine* engine = (*host)->engine(cli.policy_file, cli.name).value();
-  std::printf("# loaded %zu rows\n", engine->data().size());
+  std::printf("# loaded %zu rows\n",
+              static_cast<size_t>(engine->hist().Total()));
 
   QueryCompletionCallback on_complete;
   if (args.GetBool("stream")) on_complete = StreamPrinter("");
