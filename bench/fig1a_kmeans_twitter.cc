@@ -4,7 +4,8 @@
 // theta in {2000km, 1000km, 500km, 100km}.
 //
 // Output: CSV rows figure,series,epsilon,mean,q25,q75 where the value is
-// objective(private) / objective(non-private k-means) — Eqn 10 ratio.
+// objective(private) / objective(non-private k-means from the same
+// start) — Eqn 10 ratio.
 
 #include <cstdio>
 
@@ -23,12 +24,10 @@ int Run() {
   opts.iterations = 10;
   const size_t reps = BenchReps(5);  // paper: 50
 
-  double nonprivate =
-      bench::NonPrivateObjective(data.Points(), opts, rng);
   std::vector<SeriesPoint> all;
   auto add = [&](const std::string& label, const Policy& policy) {
-    auto series = bench::KMeansErrorSeries(label, data, policy, opts,
-                                           nonprivate, reps, rng);
+    auto series =
+        bench::KMeansErrorSeries(label, data, policy, opts, reps, rng);
     all.insert(all.end(), series.begin(), series.end());
   };
   add("laplace", Policy::FullDomain(data.domain_ptr()).value());

@@ -27,16 +27,12 @@ int Run() {
   for (const Entry& e : {Entry{"twitter", &twitter},
                          Entry{"skin01", &skin01},
                          Entry{"synth", &synth}}) {
-    double nonprivate =
-        bench::NonPrivateObjective(e.data->Points(), opts, rng);
     auto lap = bench::KMeansErrorSeries(
         std::string(e.name) + ": laplace", *e.data,
-        Policy::FullDomain(e.data->domain_ptr()).value(), opts, nonprivate,
-        reps, rng);
+        Policy::FullDomain(e.data->domain_ptr()).value(), opts, reps, rng);
     auto attr = bench::KMeansErrorSeries(
         std::string(e.name) + ": attribute", *e.data,
-        Policy::Attribute(e.data->domain_ptr()).value(), opts, nonprivate,
-        reps, rng);
+        Policy::Attribute(e.data->domain_ptr()).value(), opts, reps, rng);
     all.insert(all.end(), lap.begin(), lap.end());
     all.insert(all.end(), attr.begin(), attr.end());
   }

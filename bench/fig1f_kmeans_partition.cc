@@ -17,12 +17,10 @@ int Run() {
   opts.iterations = 10;
   const size_t reps = BenchReps(5);  // paper: 50
 
-  double nonprivate =
-      bench::NonPrivateObjective(data.Points(), opts, rng);
   std::vector<SeriesPoint> all;
   auto add = [&](const std::string& label, const Policy& policy) {
-    auto series = bench::KMeansErrorSeries(label, data, policy, opts,
-                                           nonprivate, reps, rng);
+    auto series =
+        bench::KMeansErrorSeries(label, data, policy, opts, reps, rng);
     all.insert(all.end(), series.begin(), series.end());
   };
   add("laplace", Policy::FullDomain(data.domain_ptr()).value());

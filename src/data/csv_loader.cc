@@ -1,31 +1,45 @@
 #include "data/csv_loader.h"
 
+#include <algorithm>
+#include <cfloat>
+#include <charconv>
 #include <chrono>
 #include <cmath>
-#include <fstream>
-#include <sstream>
+#include <cstring>
+#include <string_view>
 #include <unordered_set>
+
+#include "util/text_file.h"
 
 namespace blowfish {
 
 namespace {
 
-StatusOr<double> ParseCell(const std::string& cell) {
-  try {
-    size_t pos = 0;
-    double v = std::stod(cell, &pos);
-    // Allow trailing spaces only.
-    while (pos < cell.size() &&
-           std::isspace(static_cast<unsigned char>(cell[pos]))) {
-      ++pos;
-    }
-    if (pos != cell.size()) {
-      return Status::InvalidArgument("non-numeric cell: '" + cell + "'");
-    }
-    return v;
-  } catch (...) {
-    return Status::InvalidArgument("non-numeric cell: '" + cell + "'");
+/// std::isspace in the "C" locale.
+bool IsSpace(char c) {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' ||
+         c == '\r';
+}
+
+/// Parses `cell` by the grammar in csv_loader.h. Returns false for a bad
+/// cell.
+bool ParseCell(std::string_view cell, double* value) {
+  const char* begin = cell.data();
+  const char* const end = begin + cell.size();
+  while (begin != end && IsSpace(*begin)) ++begin;
+  if (begin != end && *begin == '+') {
+    ++begin;
+    // from_chars would take the '-' of "+-4" as the sign.
+    if (begin != end && *begin == '-') return false;
   }
+  const auto [stop, error] = std::from_chars(begin, end, *value);
+  if (error != std::errc()) return false;  // malformed, or overflow
+  for (const char* p = stop; p != end; ++p) {
+    if (!IsSpace(*p)) return false;
+  }
+  if (!std::isfinite(*value)) return false;
+  // Underflow: a nonzero magnitude below the smallest normal double.
+  return *value == 0.0 || std::fabs(*value) >= DBL_MIN;
 }
 
 /// The distinct levels seen in one column: a bitmap over the
@@ -68,8 +82,14 @@ StatusOr<Dataset> LoadCsv(const std::string& text,
   attrs.reserve(columns.size());
   size_t max_column = 0;
   for (const CsvColumnSpec& c : columns) {
-    if (!(c.bin_width > 0.0)) {
-      return Status::InvalidArgument("bin_width must be positive");
+    // With a finite cell, offset and bin_width, no level is NaN, which
+    // has no integer to be cast to.
+    if (!(c.bin_width > 0.0) || !std::isfinite(c.bin_width)) {
+      return Status::InvalidArgument(
+          "bin_width must be positive and finite");
+    }
+    if (!std::isfinite(c.offset)) {
+      return Status::InvalidArgument("offset must be finite");
     }
     attrs.push_back(c.attribute);
     max_column = std::max(max_column, c.column);
@@ -83,50 +103,70 @@ StatusOr<Dataset> LoadCsv(const std::string& text,
   for (const CsvColumnSpec& c : columns) {
     levels.emplace_back(c.attribute.cardinality);
   }
-  std::istringstream in(text);
-  std::string line;
-  bool first = true;
+  // Reused across rows: cells 0..max_column of the row, as views into
+  // `text`, and the selected cells' levels. No line has more than
+  // text.size() + 1 cells, which bounds the buffer whatever column the
+  // caller names.
+  std::vector<std::string_view> cells(std::min(max_column, text.size()) +
+                                      1);
+  std::vector<uint64_t> coords(columns.size());
+  uint64_t skipped = 0;
   size_t line_no = 0;
-  while (std::getline(in, line)) {
+  const char* next = text.data();
+  const char* const text_end = next + text.size();
+  while (next != text_end) {
+    const char* line = next;
+    const char* eol = static_cast<const char*>(
+        std::memchr(line, '\n', static_cast<size_t>(text_end - line)));
+    if (eol == nullptr) eol = text_end;
+    next = eol == text_end ? text_end : eol + 1;
     ++line_no;
-    if (first && options.has_header) {
-      first = false;
-      continue;
+    if (line_no == 1 && options.has_header) continue;
+    if (line == eol) continue;
+    // Cell i runs from just past separator i to the next separator or
+    // the line's end; cells past max_column are never looked at.
+    size_t found = 0;
+    for (const char* cell = line; found <= max_column;) {
+      const char* sep = static_cast<const char*>(std::memchr(
+          cell, options.separator, static_cast<size_t>(eol - cell)));
+      const char* cell_end = sep == nullptr ? eol : sep;
+      cells[found++] =
+          std::string_view(cell, static_cast<size_t>(cell_end - cell));
+      if (sep == nullptr) break;
+      cell = sep + 1;
     }
-    first = false;
-    if (line.empty()) continue;
-    // Split the row.
-    std::vector<std::string> cells;
-    std::string cell;
-    std::istringstream row(line);
-    while (std::getline(row, cell, options.separator)) {
-      cells.push_back(cell);
-    }
-    if (cells.size() <= max_column) {
-      if (options.skip_bad_rows) continue;
+    if (found <= max_column) {
+      if (options.skip_bad_rows) {
+        ++skipped;
+        continue;
+      }
       return Status::InvalidArgument("line " + std::to_string(line_no) +
                                      ": too few columns");
     }
-    std::vector<uint64_t> coords(columns.size());
     bool bad = false;
     for (size_t i = 0; i < columns.size(); ++i) {
       const CsvColumnSpec& spec = columns[i];
-      StatusOr<double> value = ParseCell(cells[spec.column]);
-      if (!value.ok()) {
+      double value = 0.0;
+      if (!ParseCell(cells[spec.column], &value)) {
         if (options.skip_bad_rows) {
           bad = true;
           break;
         }
-        return value.status();
+        return Status::InvalidArgument(
+            "line " + std::to_string(line_no) + ": bad cell '" +
+            std::string(cells[spec.column]) + "'");
       }
-      double level = std::floor((*value - spec.offset) / spec.bin_width);
+      double level = std::floor((value - spec.offset) / spec.bin_width);
       if (level < 0) level = 0;
       double max_level =
           static_cast<double>(spec.attribute.cardinality - 1);
       if (level > max_level) level = max_level;
       coords[i] = static_cast<uint64_t>(level);
     }
-    if (bad) continue;
+    if (bad) {
+      ++skipped;
+      continue;
+    }
     for (size_t i = 0; i < columns.size(); ++i) levels[i].Insert(coords[i]);
     tuples.push_back(domain->Encode(coords));
   }
@@ -141,6 +181,8 @@ StatusOr<Dataset> LoadCsv(const std::string& text,
                                           load_start)
                 .count());
   registry->GetGauge("data_rows")->Add(static_cast<int64_t>(rows));
+  registry->GetGauge("data_rows_skipped")
+      ->Add(static_cast<int64_t>(skipped));
   for (size_t i = 0; i < columns.size(); ++i) {
     obs::Gauge* gauge = registry->GetGauge(
         "data_column_cardinality{attr=" + columns[i].attribute.name + "}");
@@ -154,13 +196,8 @@ StatusOr<Dataset> LoadCsv(const std::string& text,
 StatusOr<Dataset> LoadCsvFile(const std::string& path,
                               const std::vector<CsvColumnSpec>& columns,
                               const CsvOptions& options) {
-  std::ifstream file(path);
-  if (!file) {
-    return Status::NotFound("cannot open '" + path + "'");
-  }
-  std::stringstream buffer;
-  buffer << file.rdbuf();
-  return LoadCsv(buffer.str(), columns, options);
+  BLOWFISH_ASSIGN_OR_RETURN(std::string text, ReadTextFile(path));
+  return LoadCsv(text, columns, options);
 }
 
 }  // namespace blowfish

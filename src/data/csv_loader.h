@@ -5,7 +5,34 @@
 // The loader is deliberately small: comma separation, optional header,
 // no quoting (none of the paper's datasets need it). Values are mapped to
 // domain levels either directly (integer columns) or through per-column
-// binning.
+// binning. It makes one pass over the text, with no allocation per line
+// or per cell.
+//
+// Lines end at '\n'; the last line needs none. With `has_header` the
+// first line is skipped whatever it holds, and a blank line is never a
+// row. Line numbers in errors count both. A row's cells are split at
+// every `separator`, so "4," has two cells and the second is empty.
+//
+// The accepted cell grammar, for each selected column:
+//
+//   cell := space* '+'? decimal space*
+//
+// where `space` is any of " \t\v\f\r" (so a CRLF file's '\r' is
+// trailing space) and `decimal` is a std::from_chars general-format
+// number: an optional '-', digits with an optional '.', and an optional
+// exponent ("4", "-0", ".5", "5.", "4e0"). A bad cell is anything else,
+// and also
+//   - a hex cell ("0x5"): the "0" parses and "x5" is left over;
+//   - a non-finite cell: "nan", "inf", "-inf", "infinity";
+//   - an out-of-range cell: overflow ("1e400"), or a nonzero magnitude
+//     below the smallest normal double ("1e-400", "1e-310").
+//
+// A row is bad when it has too few cells for the widest selected column
+// or when any selected cell is bad. With `skip_bad_rows` (the default) a
+// bad row is dropped and counted in `data_rows_skipped`; without it the
+// load fails with InvalidArgument naming the row's line. A good cell's
+// level is floor((value - offset) / bin_width), clamped into the
+// attribute's levels.
 
 #ifndef BLOWFISH_DATA_CSV_LOADER_H_
 #define BLOWFISH_DATA_CSV_LOADER_H_
@@ -37,8 +64,8 @@ struct CsvColumnSpec {
 struct CsvOptions {
   bool has_header = true;
   char separator = ',';
-  /// Rows with non-numeric cells in the selected columns are skipped when
-  /// true, and cause an error when false.
+  /// Bad rows (see above) are skipped when true, and cause an error when
+  /// false.
   bool skip_bad_rows = true;
   /// Registry the load metrics report into; nullptr = the process-wide
   /// default (what the STATS verb and SIGUSR1 Prometheus dump serve).
@@ -51,6 +78,8 @@ struct CsvOptions {
 ///
 ///   data_load_seconds                   cumulative seconds spent loading
 ///   data_rows                           cumulative rows loaded (gauge)
+///   data_rows_skipped                   cumulative bad rows skipped
+///                                       (gauge)
 ///   data_column_cardinality{attr=NAME}  observed distinct levels of the
 ///                                       most recently loaded column with
 ///                                       that attribute name
@@ -61,7 +90,7 @@ StatusOr<Dataset> LoadCsv(const std::string& text,
                           const std::vector<CsvColumnSpec>& columns,
                           const CsvOptions& options = {});
 
-/// Convenience: reads the file at `path` and calls LoadCsv.
+/// Reads the file at `path` once (ReadTextFile) and calls LoadCsv.
 StatusOr<Dataset> LoadCsvFile(const std::string& path,
                               const std::vector<CsvColumnSpec>& columns,
                               const CsvOptions& options = {});

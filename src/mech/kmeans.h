@@ -45,8 +45,9 @@ struct KMeansResult {
 double KMeansObjective(const std::vector<std::vector<double>>& points,
                        const Centroids& centroids);
 
-/// Non-private Lloyd iterations from k random points — the Fig 1
-/// baseline.
+/// Non-private Lloyd iterations from k random data points. The Fig 1
+/// benches' baseline is SuLQKMeans without noise instead, so that the
+/// private and non-private runs start from the same centroids.
 StatusOr<KMeansResult> LloydKMeans(
     const std::vector<std::vector<double>>& points, const KMeansOptions& opts,
     Random& rng);

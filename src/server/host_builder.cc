@@ -1,22 +1,13 @@
 #include "server/host_builder.h"
 
-#include <fstream>
-#include <sstream>
 #include <utility>
 #include <vector>
 
 #include "core/policy_spec.h"
 #include "data/csv_loader.h"
+#include "util/text_file.h"
 
 namespace blowfish {
-
-StatusOr<std::string> ReadTextFile(const std::string& path) {
-  std::ifstream file(path);
-  if (!file) return Status::NotFound("cannot open '" + path + "'");
-  std::stringstream buffer;
-  buffer << file.rdbuf();
-  return buffer.str();
-}
 
 StatusOr<ServeConfig> LoadServeConfigFile(const std::string& path) {
   BLOWFISH_ASSIGN_OR_RETURN(std::string text, ReadTextFile(path));

@@ -23,9 +23,6 @@
 
 namespace blowfish {
 
-/// Reads a whole file; NotFound when it cannot be opened.
-StatusOr<std::string> ReadTextFile(const std::string& path);
-
 /// Reads and parses a serve config file.
 StatusOr<ServeConfig> LoadServeConfigFile(const std::string& path);
 

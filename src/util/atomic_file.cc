@@ -2,9 +2,9 @@
 
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 
 #include "util/file_lock.h"
+#include "util/text_file.h"
 
 namespace blowfish {
 
@@ -13,24 +13,14 @@ Status AtomicUpdateFile(
     const std::function<Status(const std::string* existing,
                                std::ostream& out)>& writer) {
   BLOWFISH_ASSIGN_OR_RETURN(FileLock lock, FileLock::Acquire(path));
-  std::string existing;
-  bool have_existing = false;
-  {
-    std::ifstream file(path);
-    if (file) {
-      std::stringstream buffer;
-      buffer << file.rdbuf();
-      existing = buffer.str();
-      have_existing = true;
-    }
-  }
+  StatusOr<std::string> existing = ReadTextFile(path);
   const std::string tmp = path + ".tmp";
   {
     std::ofstream file(tmp, std::ios::trunc);
     if (!file) {
       return Status::NotFound("cannot open '" + tmp + "' to write");
     }
-    Status written = writer(have_existing ? &existing : nullptr, file);
+    Status written = writer(existing.ok() ? &*existing : nullptr, file);
     file.flush();
     if (written.ok() && !file) {
       written = Status::Internal("write to '" + tmp + "' failed");

@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
+#include <sstream>
 
 #include "obs/metrics.h"
+#include "util/random.h"
 
 namespace blowfish {
 namespace {
@@ -92,10 +97,350 @@ TEST(CsvLoaderTest, StrictModeErrorsOnBadRows) {
                    .ok());
 }
 
+// The accepted cell grammar, pinned case by case: leading whitespace,
+// one leading '+', and trailing whitespace (a CRLF file's '\r') around
+// a decimal number.
+TEST(CsvLoaderTest, CellGrammar) {
+  CsvColumnSpec spec;
+  spec.column = 0;
+  spec.attribute = Attribute{"v", 10, 1.0};
+  CsvOptions opts;
+  opts.has_header = false;
+  opts.skip_bad_rows = false;
+  auto level = [&](const std::string& cell) -> StatusOr<ValueIndex> {
+    BLOWFISH_ASSIGN_OR_RETURN(Dataset d, LoadCsv(cell + "\n", {spec}, opts));
+    if (d.size() != 1) return Status::Internal("not one row");
+    return d.tuple(0);
+  };
+  const std::pair<std::string, ValueIndex> accepted[] = {
+      {"4", 4},    {" 4", 4},  {"\t4", 4}, {"+4", 4},  {"4 ", 4},
+      {"4\r", 4},  {" +4 ", 4}, {".5", 0},  {"5.", 5},  {"-0", 0},
+      {"4.9", 4},  {"4e0", 4}, {"0.4e1", 4}, {"-3", 0}, {"1e3", 9}};
+  for (const auto& [cell, want] : accepted) {
+    auto got = level(cell);
+    ASSERT_TRUE(got.ok()) << "'" << cell << "': " << got.status().ToString();
+    EXPECT_EQ(*got, want) << "'" << cell << "'";
+  }
+  for (const std::string cell :
+       {" ", "\r", "x", "4x", "4 4", "++4", "+-4", "- 4", "+ 4", ".", "-",
+        "e5", "1e-400"}) {
+    EXPECT_FALSE(level(cell).ok()) << "'" << cell << "'";
+  }
+}
+
+TEST(CsvLoaderTest, LineStructure) {
+  CsvColumnSpec v;
+  v.column = 0;
+  v.attribute = Attribute{"v", 10, 1.0};
+  auto tuples = [&](const std::string& text, const CsvColumnSpec& spec) {
+    return LoadCsv(text, {spec}).value().tuples();
+  };
+  using Tuples = std::vector<ValueIndex>;
+  // CRLF line endings: the header and every cell keep their '\r', which
+  // the cell grammar reads as trailing whitespace.
+  EXPECT_EQ(tuples("v\r\n1\r\n2\r\n", v), (Tuples{1, 2}));
+  // A blank line is no row; a last line needs no '\n'.
+  EXPECT_EQ(tuples("v\n1\n\n2\n", v), (Tuples{1, 2}));
+  EXPECT_EQ(tuples("v\n1\n2", v), (Tuples{1, 2}));
+  // The first line is the header whatever it holds, even when blank.
+  EXPECT_EQ(tuples("\n3\n", v), (Tuples{3}));
+  EXPECT_EQ(tuples("7\n3\n", v), (Tuples{3}));
+  // A header-only file, with or without its '\n', is an empty dataset.
+  EXPECT_TRUE(tuples("v\n", v).empty());
+  EXPECT_TRUE(tuples("v", v).empty());
+  EXPECT_TRUE(tuples("", v).empty());
+  // A trailing separator makes an empty last cell, which is bad.
+  CsvColumnSpec second = v;
+  second.column = 1;
+  EXPECT_EQ(tuples("v\n4,\n", v), (Tuples{4}));
+  EXPECT_TRUE(tuples("v\n4,\n", second).empty());
+  EXPECT_TRUE(tuples("v\n4,,\n", second).empty());
+  EXPECT_TRUE(tuples("v\n4\n", second).empty());  // too few columns
+  EXPECT_EQ(tuples("v\n4,5,\n", second), (Tuples{5}));
+  EXPECT_EQ(tuples("a,b\r\n4,5\r\n", second), (Tuples{5}));
+  // A column past any line's end is too few columns; the largest one
+  // must not wrap the loader's cell count.
+  for (const size_t column :
+       {size_t{1} << 20, std::numeric_limits<size_t>::max()}) {
+    CsvColumnSpec far = v;
+    far.column = column;
+    EXPECT_TRUE(tuples("v\n4,5\n", far).empty());
+    CsvOptions strict;
+    strict.skip_bad_rows = false;
+    EXPECT_FALSE(LoadCsv("v\n4,5\n", {far}, strict).ok());
+  }
+  // A CRLF blank line is a row of one whitespace cell: a bad row.
+  EXPECT_EQ(tuples("v\r\n1\r\n\r\n2\r\n", v), (Tuples{1, 2}));
+}
+
+TEST(CsvLoaderTest, StrictModeNamesTheLine) {
+  CsvOptions opts;
+  opts.skip_bad_rows = false;
+  // Line numbers count the header and blank lines.
+  auto loaded =
+      LoadCsv("age,loss\n1,2\n\nonlyonecell\n", {LossColumn()}, opts);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.status().message().find("line 4: too few columns"),
+            std::string::npos)
+      << loaded.status().ToString();
+  CsvColumnSpec v;
+  v.column = 0;
+  v.attribute = Attribute{"v", 10, 1.0};
+  EXPECT_FALSE(LoadCsv("v\r\n1\r\n\r\n", {v}, opts).ok());
+  EXPECT_FALSE(LoadCsv("v\n1e-400\n", {v}, opts).ok());
+  EXPECT_TRUE(LoadCsv("v\n1\n\n2\n", {v}, opts).ok());
+}
+
+TEST(CsvLoaderTest, NonFiniteCellsAreBad) {
+  // A NaN level has no integer to be cast to, and an infinite one would
+  // be clamped to an end level as if it were data.
+  CsvColumnSpec v;
+  v.column = 0;
+  v.attribute = Attribute{"v", 10, 1.0};
+  for (const std::string cell :
+       {"nan", "-nan", "NaN", "nan(1)", "inf", "-inf", "+inf", "infinity",
+        "1e400", "-1e400"}) {
+    const std::string text = "v\n3\n" + cell + "\n4\n";
+    auto loaded = LoadCsv(text, {v});
+    ASSERT_TRUE(loaded.ok()) << cell << ": " << loaded.status().ToString();
+    EXPECT_EQ(loaded->tuples(), (std::vector<ValueIndex>{3, 4})) << cell;
+    CsvOptions strict;
+    strict.skip_bad_rows = false;
+    auto refused = LoadCsv(text, {v}, strict);
+    ASSERT_FALSE(refused.ok()) << cell;
+    EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(refused.status().message().find("line 3"), std::string::npos)
+        << refused.status().ToString();
+  }
+}
+
+TEST(CsvLoaderTest, HexCellsAreBad) {
+  CsvColumnSpec v;
+  v.column = 0;
+  v.attribute = Attribute{"v", 10, 1.0};
+  EXPECT_EQ(LoadCsv("v\n0x5\n0X1p2\n7\n", {v}).value().tuples(),
+            (std::vector<ValueIndex>{7}));
+}
+
+// The loader as it was before the one-pass rewrite: a getline splitter
+// and std::stod per cell. The differential test below holds the loader
+// to it on generated text.
+StatusOr<double> ReferenceParseCell(const std::string& cell) {
+  try {
+    size_t pos = 0;
+    double v = std::stod(cell, &pos);
+    // Allow trailing spaces only.
+    while (pos < cell.size() &&
+           std::isspace(static_cast<unsigned char>(cell[pos]))) {
+      ++pos;
+    }
+    if (pos != cell.size()) {
+      return Status::InvalidArgument("non-numeric cell: '" + cell + "'");
+    }
+    return v;
+  } catch (...) {
+    return Status::InvalidArgument("non-numeric cell: '" + cell + "'");
+  }
+}
+
+StatusOr<std::vector<ValueIndex>> ReferenceLoad(
+    const std::string& text, const std::vector<CsvColumnSpec>& columns,
+    const CsvOptions& options) {
+  std::vector<Attribute> attrs;
+  size_t max_column = 0;
+  for (const CsvColumnSpec& c : columns) {
+    attrs.push_back(c.attribute);
+    max_column = std::max(max_column, c.column);
+  }
+  const Domain domain = Domain::Create(attrs).value();
+  std::vector<ValueIndex> tuples;
+  std::istringstream in(text);
+  std::string line;
+  bool first = true;
+  size_t line_no = 0;
+  while (std::getline(in, line)) {
+    ++line_no;
+    if (first && options.has_header) {
+      first = false;
+      continue;
+    }
+    first = false;
+    if (line.empty()) continue;
+    std::vector<std::string> cells;
+    std::string cell;
+    std::istringstream row(line);
+    while (std::getline(row, cell, options.separator)) {
+      cells.push_back(cell);
+    }
+    if (cells.size() <= max_column) {
+      if (options.skip_bad_rows) continue;
+      return Status::InvalidArgument("line " + std::to_string(line_no) +
+                                     ": too few columns");
+    }
+    std::vector<uint64_t> coords(columns.size());
+    bool bad = false;
+    for (size_t i = 0; i < columns.size(); ++i) {
+      const CsvColumnSpec& spec = columns[i];
+      const std::string& text_cell = cells[spec.column];
+      StatusOr<double> value = ReferenceParseCell(text_cell);
+      // The two intended changes: hex and non-finite cells, which the
+      // reference accepted, are bad cells now.
+      if (value.ok() &&
+          (!std::isfinite(*value) ||
+           text_cell.find_first_of("xX") != std::string::npos)) {
+        value = Status::InvalidArgument("changed cell");
+      }
+      if (!value.ok()) {
+        if (options.skip_bad_rows) {
+          bad = true;
+          break;
+        }
+        return value.status();
+      }
+      double level = std::floor((*value - spec.offset) / spec.bin_width);
+      if (level < 0) level = 0;
+      double max_level =
+          static_cast<double>(spec.attribute.cardinality - 1);
+      if (level > max_level) level = max_level;
+      coords[i] = static_cast<uint64_t>(level);
+    }
+    if (bad) continue;
+    tuples.push_back(domain.Encode(coords));
+  }
+  return tuples;
+}
+
+std::string Pick(Random& rng, const std::vector<std::string>& options) {
+  return options[static_cast<size_t>(
+      rng.UniformInt(0, static_cast<int64_t>(options.size()) - 1))];
+}
+
+std::string RandomDigits(Random& rng, int64_t max_len) {
+  std::string out;
+  for (int64_t n = rng.UniformInt(1, max_len); n > 0; --n) {
+    out += static_cast<char>('0' + rng.UniformInt(0, 9));
+  }
+  return out;
+}
+
+/// One cell: a well-formed number in some dress, a token at the
+/// grammar's edge, or a random string over the grammar's alphabet.
+std::string RandomCell(Random& rng, char separator) {
+  switch (rng.UniformInt(0, 4)) {
+    case 0:
+      return "";
+    case 1:
+      return Pick(rng, {" 4", "+4", "4 ", "4\r", "\t+4\t", ".5", "5.", "-0",
+                        "+-4", "-+4", "++4", "+ 4", "1e-400", "1e400",
+                        "1e-310", "4e-308", "nan", "-nan", "inf", "-inf",
+                        "infinity", "0x5", "0x", "1e", "1e+", "-", ".",
+                        "+", "e5", "5e-3", "\r", " "});
+    case 2: {
+      std::string num = Pick(rng, {"", "", " ", "\t", "\r"});
+      num += Pick(rng, {"", "", "-", "+"});
+      if (rng.Bernoulli(0.8)) num += RandomDigits(rng, 4);
+      if (rng.Bernoulli(0.3)) num += "." + RandomDigits(rng, 3);
+      if (rng.Bernoulli(0.2)) {
+        num += "e" + Pick(rng, {"", "-", "+"}) + RandomDigits(rng, 3);
+      }
+      num += Pick(rng, {"", "", " ", "\r", " \r"});
+      return num;
+    }
+    default: {
+      const std::string alphabet =
+          std::string("0123456789.-+e \t\rxnaif") + separator;
+      std::string out;
+      for (int64_t n = rng.UniformInt(1, 6); n > 0; --n) {
+        out += alphabet[static_cast<size_t>(rng.UniformInt(
+            0, static_cast<int64_t>(alphabet.size()) - 1))];
+      }
+      return out;
+    }
+  }
+}
+
+std::string RandomCsv(Random& rng, char separator) {
+  std::string text;
+  for (int64_t line = rng.UniformInt(0, 12); line > 0; --line) {
+    if (rng.Bernoulli(0.1)) {
+      text += Pick(rng, {"", "\r"});
+    } else {
+      for (int64_t cell = rng.UniformInt(1, 5); cell > 0; --cell) {
+        text += RandomCell(rng, separator);
+        if (cell > 1 || rng.Bernoulli(0.1)) text += separator;
+      }
+    }
+    if (line > 1 || rng.Bernoulli(0.7)) {
+      text += rng.Bernoulli(0.3) ? "\r\n" : "\n";
+    }
+  }
+  return text;
+}
+
+TEST(CsvLoaderTest, MatchesTheReferenceLoader) {
+  CsvColumnSpec plain;
+  plain.column = 0;
+  plain.attribute = Attribute{"a", 50, 1.0};
+  CsvColumnSpec binned;
+  binned.column = 2;
+  binned.attribute = Attribute{"b", 7, 1.0};
+  binned.bin_width = 0.5;
+  binned.offset = -3.0;
+  CsvColumnSpec wide;
+  wide.column = 1;
+  wide.attribute = Attribute{"c", 9, 1.0};
+  wide.bin_width = 2.5;
+  wide.offset = 1.5;
+  const std::vector<std::vector<CsvColumnSpec>> specs = {
+      {plain}, {binned}, {binned, plain}, {plain, wide, binned}};
+  Random rng(20260418);
+  size_t rows = 0;
+  size_t refused = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    const char separator = trial % 5 == 4 ? '\t' : ',';
+    const std::string text = RandomCsv(rng, separator);
+    for (const auto& columns : specs) {
+      for (const bool has_header : {true, false}) {
+        for (const bool skip : {true, false}) {
+          obs::MetricsRegistry registry;
+          CsvOptions options;
+          options.has_header = has_header;
+          options.separator = separator;
+          options.skip_bad_rows = skip;
+          options.metrics = &registry;
+          auto want = ReferenceLoad(text, columns, options);
+          auto got = LoadCsv(text, columns, options);
+          ASSERT_EQ(got.ok(), want.ok())
+              << "text '" << text << "' header=" << has_header
+              << " skip=" << skip << " columns=" << columns.size() << ": "
+              << (got.ok() ? want.status() : got.status()).ToString();
+          if (!want.ok()) {
+            ++refused;
+            EXPECT_EQ(got.status().code(), StatusCode::kInvalidArgument);
+            continue;
+          }
+          ASSERT_EQ(got->tuples(), *want) << "text '" << text << "'";
+          rows += want->size();
+        }
+      }
+    }
+  }
+  // The generator reaches both outcomes often.
+  EXPECT_GT(rows, 10000u);
+  EXPECT_GT(refused, 10000u);
+}
+
 TEST(CsvLoaderTest, Validation) {
   EXPECT_FALSE(LoadCsv("a\n1\n", {}).ok());
   CsvColumnSpec bad = LossColumn();
   bad.bin_width = 0.0;
+  EXPECT_FALSE(LoadCsv("a,b\n1,2\n", {bad}).ok());
+  // A non-finite bin_width or offset would make levels NaN.
+  bad.bin_width = std::numeric_limits<double>::infinity();
+  EXPECT_FALSE(LoadCsv("a,b\n1,2\n", {bad}).ok());
+  bad = LossColumn();
+  bad.offset = std::numeric_limits<double>::quiet_NaN();
   EXPECT_FALSE(LoadCsv("a,b\n1,2\n", {bad}).ok());
 }
 
@@ -137,18 +482,29 @@ TEST(CsvLoaderTest, RecordsLoadMetrics) {
   EXPECT_EQ(
       registry.GetGauge("data_column_cardinality{attr=hours}")->Value(), 2);
 
+  EXPECT_EQ(registry.GetGauge("data_rows_skipped")->Value(), 0);
+
   // The second load's skipped bad row counts neither as a row nor
-  // toward the cardinalities.
+  // toward the cardinalities, but as a skipped row.
   auto second =
       LoadCsv("age,hours\n5,0\n5,7\nbad,1\n", {age, hours}, options);
   ASSERT_TRUE(second.ok()) << second.status().ToString();
   EXPECT_GT(registry.GetDoubleCounter("data_load_seconds")->Value(),
             first_seconds);
   EXPECT_EQ(registry.GetGauge("data_rows")->Value(), 6);
+  EXPECT_EQ(registry.GetGauge("data_rows_skipped")->Value(), 1);
   EXPECT_EQ(registry.GetGauge("data_column_cardinality{attr=age}")->Value(),
             1);
   EXPECT_EQ(
       registry.GetGauge("data_column_cardinality{attr=hours}")->Value(), 2);
+
+  // Skipped rows accumulate across loads, whatever made them bad: too
+  // few columns, or a bad cell. Blank lines and the header are no rows.
+  auto third = LoadCsv("age,hours\n1\n\n2,nan\n3,4\n", {age, hours},
+                       options);
+  ASSERT_TRUE(third.ok()) << third.status().ToString();
+  EXPECT_EQ(registry.GetGauge("data_rows")->Value(), 7);
+  EXPECT_EQ(registry.GetGauge("data_rows_skipped")->Value(), 3);
 }
 
 }  // namespace

@@ -32,7 +32,7 @@
 #include <string>
 
 #include "server/audit_replay.h"
-#include "server/host_builder.h"
+#include "util/text_file.h"
 
 namespace blowfish {
 namespace {

@@ -98,6 +98,7 @@
 #include "server/host_builder.h"
 #include "server/serve_config.h"
 #include "util/parse.h"
+#include "util/text_file.h"
 
 namespace blowfish {
 namespace {
