@@ -438,8 +438,8 @@ int Run(const std::string& json_path) {
   constexpr size_t kOpQueries = 64;
   // quadtree reuses the 2-attribute first-batch workload: the 4 x 512 domain
   // resolves at depth 9 (a ~350k-node tree); each release counts and
-  // noises only the rectangle's canonical nodes and skips the rest of
-  // the tree's noise stream.
+  // noises only the rectangle's canonical nodes, each noised node's draw
+  // computed in O(1) from its position in the tree.
   double quadtree_qps = 0.0;
   bool quadtree_identity = true;
   {

@@ -2,44 +2,25 @@
 
 #include <algorithm>
 #include <cfloat>
-#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <fstream>
 #include <string_view>
 #include <unordered_set>
 
-#include "util/text_file.h"
+#include "util/parse.h"
 
 namespace blowfish {
 
 namespace {
 
-/// std::isspace in the "C" locale.
-bool IsSpace(char c) {
-  return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' ||
-         c == '\r';
-}
-
-/// Parses `cell` by the grammar in csv_loader.h. Returns false for a bad
-/// cell.
+/// Parses `cell` by the grammar in csv_loader.h: util/parse's decimal
+/// grammar, less the subnormals. Returns false for a bad cell.
 bool ParseCell(std::string_view cell, double* value) {
-  const char* begin = cell.data();
-  const char* const end = begin + cell.size();
-  while (begin != end && IsSpace(*begin)) ++begin;
-  if (begin != end && *begin == '+') {
-    ++begin;
-    // from_chars would take the '-' of "+-4" as the sign.
-    if (begin != end && *begin == '-') return false;
-  }
-  const auto [stop, error] = std::from_chars(begin, end, *value);
-  if (error != std::errc()) return false;  // malformed, or overflow
-  for (const char* p = stop; p != end; ++p) {
-    if (!IsSpace(*p)) return false;
-  }
-  if (!std::isfinite(*value)) return false;
   // Underflow: a nonzero magnitude below the smallest normal double.
-  return *value == 0.0 || std::fabs(*value) >= DBL_MIN;
+  return ParseDecimal(cell, value) &&
+         (*value == 0.0 || std::fabs(*value) >= DBL_MIN);
 }
 
 /// The distinct levels seen in one column: a bitmap over the
@@ -69,135 +50,208 @@ class LevelSet {
   std::unordered_set<uint64_t> wide_;
 };
 
+/// The one-pass parser behind both entry points: LoadCsv feeds it the
+/// whole text at once, LoadCsvFile a block of whole lines at a time.
+class CsvParser {
+ public:
+  /// Validates the column specs; the load's clock starts here.
+  static StatusOr<CsvParser> Create(const std::vector<CsvColumnSpec>& columns,
+                                    const CsvOptions& options) {
+    if (columns.empty()) {
+      return Status::InvalidArgument("no columns selected");
+    }
+    const auto start = std::chrono::steady_clock::now();
+    std::vector<Attribute> attrs;
+    attrs.reserve(columns.size());
+    size_t max_column = 0;
+    for (const CsvColumnSpec& c : columns) {
+      // With a finite cell, offset and bin_width, no level is NaN, which
+      // has no integer to be cast to.
+      if (!(c.bin_width > 0.0) || !std::isfinite(c.bin_width)) {
+        return Status::InvalidArgument(
+            "bin_width must be positive and finite");
+      }
+      if (!std::isfinite(c.offset)) {
+        return Status::InvalidArgument("offset must be finite");
+      }
+      attrs.push_back(c.attribute);
+      max_column = std::max(max_column, c.column);
+    }
+    BLOWFISH_ASSIGN_OR_RETURN(Domain domain, Domain::Create(attrs));
+    return CsvParser(columns, options, start, max_column,
+                     std::make_shared<const Domain>(std::move(domain)));
+  }
+
+  /// Parses the lines of [next, end). Each ends at '\n', except that
+  /// the input's last line needs none, so `end` is either just past a
+  /// '\n' or the end of the input.
+  Status Lines(const char* next, const char* const end) {
+    while (next != end) {
+      const char* line = next;
+      const char* eol = static_cast<const char*>(
+          std::memchr(line, '\n', static_cast<size_t>(end - line)));
+      if (eol == nullptr) eol = end;
+      next = eol == end ? end : eol + 1;
+      ++line_no_;
+      if (line_no_ == 1 && options_.has_header) continue;
+      if (line == eol) continue;
+      // Cell i runs from just past separator i to the next separator or
+      // the line's end; cells past max_column are never looked at, so a
+      // row holds at most max_column + 1 views, and no more than the
+      // line has cells.
+      cells_.clear();
+      for (const char* cell = line; cells_.size() <= max_column_;) {
+        const char* sep = static_cast<const char*>(std::memchr(
+            cell, options_.separator, static_cast<size_t>(eol - cell)));
+        const char* cell_end = sep == nullptr ? eol : sep;
+        cells_.emplace_back(cell, static_cast<size_t>(cell_end - cell));
+        if (sep == nullptr) break;
+        cell = sep + 1;
+      }
+      if (cells_.size() <= max_column_) {
+        if (options_.skip_bad_rows) {
+          ++skipped_;
+          continue;
+        }
+        return Status::InvalidArgument("line " + std::to_string(line_no_) +
+                                       ": too few columns");
+      }
+      bool bad = false;
+      for (size_t i = 0; i < columns_.size(); ++i) {
+        const CsvColumnSpec& spec = columns_[i];
+        double value = 0.0;
+        if (!ParseCell(cells_[spec.column], &value)) {
+          if (options_.skip_bad_rows) {
+            bad = true;
+            break;
+          }
+          return Status::InvalidArgument(
+              "line " + std::to_string(line_no_) + ": bad cell '" +
+              std::string(cells_[spec.column]) + "'");
+        }
+        double level = std::floor((value - spec.offset) / spec.bin_width);
+        if (level < 0) level = 0;
+        double max_level =
+            static_cast<double>(spec.attribute.cardinality - 1);
+        if (level > max_level) level = max_level;
+        coords_[i] = static_cast<uint64_t>(level);
+      }
+      if (bad) {
+        ++skipped_;
+        continue;
+      }
+      for (size_t i = 0; i < columns_.size(); ++i) {
+        levels_[i].Insert(coords_[i]);
+      }
+      tuples_.push_back(domain_->Encode(coords_));
+    }
+    return Status::OK();
+  }
+
+  /// The loaded dataset; records the load metrics (csv_loader.h).
+  StatusOr<Dataset> Finish() && {
+    const size_t rows = tuples_.size();
+    BLOWFISH_ASSIGN_OR_RETURN(Dataset data,
+                              Dataset::Create(domain_, std::move(tuples_)));
+    obs::MetricsRegistry* registry = options_.metrics != nullptr
+                                         ? options_.metrics
+                                         : obs::MetricsRegistry::Global();
+    registry->GetDoubleCounter("data_load_seconds")
+        ->Add(std::chrono::duration<double>(
+                  std::chrono::steady_clock::now() - start_)
+                  .count());
+    registry->GetGauge("data_rows")->Add(static_cast<int64_t>(rows));
+    registry->GetGauge("data_rows_skipped")
+        ->Add(static_cast<int64_t>(skipped_));
+    for (size_t i = 0; i < columns_.size(); ++i) {
+      obs::Gauge* gauge =
+          registry->GetGauge("data_column_cardinality{attr=" +
+                             columns_[i].attribute.name + "}");
+      // Set-to-latest: loads are sequential, so the delta write does not
+      // race another loader.
+      gauge->Add(static_cast<int64_t>(levels_[i].size()) - gauge->Value());
+    }
+    return data;
+  }
+
+ private:
+  CsvParser(const std::vector<CsvColumnSpec>& columns,
+            const CsvOptions& options,
+            std::chrono::steady_clock::time_point start, size_t max_column,
+            std::shared_ptr<const Domain> domain)
+      : columns_(columns), options_(options), start_(start),
+        max_column_(max_column), domain_(std::move(domain)),
+        coords_(columns.size()) {
+    levels_.reserve(columns.size());
+    for (const CsvColumnSpec& c : columns) {
+      levels_.emplace_back(c.attribute.cardinality);
+    }
+  }
+
+  const std::vector<CsvColumnSpec>& columns_;
+  CsvOptions options_;
+  std::chrono::steady_clock::time_point start_;
+  size_t max_column_;
+  std::shared_ptr<const Domain> domain_;
+  /// Reused across rows: the row's cells as views into the input, and
+  /// the selected cells' levels.
+  std::vector<std::string_view> cells_;
+  std::vector<uint64_t> coords_;
+  std::vector<ValueIndex> tuples_;
+  std::vector<LevelSet> levels_;
+  uint64_t skipped_ = 0;
+  size_t line_no_ = 0;
+};
+
 }  // namespace
 
 StatusOr<Dataset> LoadCsv(const std::string& text,
                           const std::vector<CsvColumnSpec>& columns,
                           const CsvOptions& options) {
-  if (columns.empty()) {
-    return Status::InvalidArgument("no columns selected");
-  }
-  const auto load_start = std::chrono::steady_clock::now();
-  std::vector<Attribute> attrs;
-  attrs.reserve(columns.size());
-  size_t max_column = 0;
-  for (const CsvColumnSpec& c : columns) {
-    // With a finite cell, offset and bin_width, no level is NaN, which
-    // has no integer to be cast to.
-    if (!(c.bin_width > 0.0) || !std::isfinite(c.bin_width)) {
-      return Status::InvalidArgument(
-          "bin_width must be positive and finite");
-    }
-    if (!std::isfinite(c.offset)) {
-      return Status::InvalidArgument("offset must be finite");
-    }
-    attrs.push_back(c.attribute);
-    max_column = std::max(max_column, c.column);
-  }
-  BLOWFISH_ASSIGN_OR_RETURN(Domain domain_v, Domain::Create(attrs));
-  auto domain = std::make_shared<const Domain>(std::move(domain_v));
-
-  std::vector<ValueIndex> tuples;
-  std::vector<LevelSet> levels;
-  levels.reserve(columns.size());
-  for (const CsvColumnSpec& c : columns) {
-    levels.emplace_back(c.attribute.cardinality);
-  }
-  // Reused across rows: cells 0..max_column of the row, as views into
-  // `text`, and the selected cells' levels. No line has more than
-  // text.size() + 1 cells, which bounds the buffer whatever column the
-  // caller names.
-  std::vector<std::string_view> cells(std::min(max_column, text.size()) +
-                                      1);
-  std::vector<uint64_t> coords(columns.size());
-  uint64_t skipped = 0;
-  size_t line_no = 0;
-  const char* next = text.data();
-  const char* const text_end = next + text.size();
-  while (next != text_end) {
-    const char* line = next;
-    const char* eol = static_cast<const char*>(
-        std::memchr(line, '\n', static_cast<size_t>(text_end - line)));
-    if (eol == nullptr) eol = text_end;
-    next = eol == text_end ? text_end : eol + 1;
-    ++line_no;
-    if (line_no == 1 && options.has_header) continue;
-    if (line == eol) continue;
-    // Cell i runs from just past separator i to the next separator or
-    // the line's end; cells past max_column are never looked at.
-    size_t found = 0;
-    for (const char* cell = line; found <= max_column;) {
-      const char* sep = static_cast<const char*>(std::memchr(
-          cell, options.separator, static_cast<size_t>(eol - cell)));
-      const char* cell_end = sep == nullptr ? eol : sep;
-      cells[found++] =
-          std::string_view(cell, static_cast<size_t>(cell_end - cell));
-      if (sep == nullptr) break;
-      cell = sep + 1;
-    }
-    if (found <= max_column) {
-      if (options.skip_bad_rows) {
-        ++skipped;
-        continue;
-      }
-      return Status::InvalidArgument("line " + std::to_string(line_no) +
-                                     ": too few columns");
-    }
-    bool bad = false;
-    for (size_t i = 0; i < columns.size(); ++i) {
-      const CsvColumnSpec& spec = columns[i];
-      double value = 0.0;
-      if (!ParseCell(cells[spec.column], &value)) {
-        if (options.skip_bad_rows) {
-          bad = true;
-          break;
-        }
-        return Status::InvalidArgument(
-            "line " + std::to_string(line_no) + ": bad cell '" +
-            std::string(cells[spec.column]) + "'");
-      }
-      double level = std::floor((value - spec.offset) / spec.bin_width);
-      if (level < 0) level = 0;
-      double max_level =
-          static_cast<double>(spec.attribute.cardinality - 1);
-      if (level > max_level) level = max_level;
-      coords[i] = static_cast<uint64_t>(level);
-    }
-    if (bad) {
-      ++skipped;
-      continue;
-    }
-    for (size_t i = 0; i < columns.size(); ++i) levels[i].Insert(coords[i]);
-    tuples.push_back(domain->Encode(coords));
-  }
-  const size_t rows = tuples.size();
-  BLOWFISH_ASSIGN_OR_RETURN(Dataset data,
-                            Dataset::Create(domain, std::move(tuples)));
-  obs::MetricsRegistry* registry = options.metrics != nullptr
-                                       ? options.metrics
-                                       : obs::MetricsRegistry::Global();
-  registry->GetDoubleCounter("data_load_seconds")
-      ->Add(std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          load_start)
-                .count());
-  registry->GetGauge("data_rows")->Add(static_cast<int64_t>(rows));
-  registry->GetGauge("data_rows_skipped")
-      ->Add(static_cast<int64_t>(skipped));
-  for (size_t i = 0; i < columns.size(); ++i) {
-    obs::Gauge* gauge = registry->GetGauge(
-        "data_column_cardinality{attr=" + columns[i].attribute.name + "}");
-    // Set-to-latest: loads are sequential, so the delta write does not
-    // race another loader.
-    gauge->Add(static_cast<int64_t>(levels[i].size()) - gauge->Value());
-  }
-  return data;
+  BLOWFISH_ASSIGN_OR_RETURN(CsvParser parser,
+                            CsvParser::Create(columns, options));
+  BLOWFISH_RETURN_IF_ERROR(
+      parser.Lines(text.data(), text.data() + text.size()));
+  return std::move(parser).Finish();
 }
 
 StatusOr<Dataset> LoadCsvFile(const std::string& path,
                               const std::vector<CsvColumnSpec>& columns,
                               const CsvOptions& options) {
-  BLOWFISH_ASSIGN_OR_RETURN(std::string text, ReadTextFile(path));
-  return LoadCsv(text, columns, options);
+  std::ifstream file(path, std::ios::binary);
+  if (!file) return Status::NotFound("cannot open '" + path + "'");
+  BLOWFISH_ASSIGN_OR_RETURN(CsvParser parser,
+                            CsvParser::Create(columns, options));
+  // buffer[0, carry) is a line begun in an earlier block; each read
+  // appends one block after it, and the parser takes every line that
+  // block completes. The buffer holds one block plus the longest line.
+  std::string buffer;
+  size_t carry = 0;
+  while (true) {
+    buffer.resize(carry + kCsvReadBlockBytes);
+    file.read(buffer.data() + carry,
+              static_cast<std::streamsize>(kCsvReadBlockBytes));
+    if (file.bad()) {
+      return Status::Internal("read from '" + path + "' failed");
+    }
+    const size_t got = static_cast<size_t>(file.gcount());
+    const char* const begin = buffer.data();
+    const char* const end = begin + carry + got;
+    if (got == 0) {  // end of file: the carried line is the last
+      BLOWFISH_RETURN_IF_ERROR(parser.Lines(begin, end));
+      break;
+    }
+    const char* last_eol =
+        static_cast<const char*>(memrchr(begin + carry, '\n', got));
+    if (last_eol == nullptr) {
+      carry += got;
+      continue;
+    }
+    BLOWFISH_RETURN_IF_ERROR(parser.Lines(begin, last_eol + 1));
+    carry = static_cast<size_t>(end - (last_eol + 1));
+    std::memmove(buffer.data(), last_eol + 1, carry);
+  }
+  return std::move(parser).Finish();
 }
 
 }  // namespace blowfish

@@ -6,14 +6,16 @@
 // no quoting (none of the paper's datasets need it). Values are mapped to
 // domain levels either directly (integer columns) or through per-column
 // binning. It makes one pass over the text, with no allocation per line
-// or per cell.
+// or per cell. LoadCsvFile streams the file through the same parser, so
+// a load never holds the file's text.
 //
 // Lines end at '\n'; the last line needs none. With `has_header` the
 // first line is skipped whatever it holds, and a blank line is never a
 // row. Line numbers in errors count both. A row's cells are split at
 // every `separator`, so "4," has two cells and the second is empty.
 //
-// The accepted cell grammar, for each selected column:
+// The accepted cell grammar, for each selected column, is util/parse.h's
+// ParseDecimal, the one every text surface shares:
 //
 //   cell := space* '+'? decimal space*
 //
@@ -25,7 +27,8 @@
 //   - a hex cell ("0x5"): the "0" parses and "x5" is left over;
 //   - a non-finite cell: "nan", "inf", "-inf", "infinity";
 //   - an out-of-range cell: overflow ("1e400"), or a nonzero magnitude
-//     below the smallest normal double ("1e-400", "1e-310").
+//     below the smallest normal double ("1e-400", "1e-310"). Refusing
+//     subnormals is the one rule CSV cells add to ParseDecimal.
 //
 // A row is bad when it has too few cells for the widest selected column
 // or when any selected cell is bad. With `skip_bad_rows` (the default) a
@@ -77,6 +80,8 @@ struct CsvOptions {
 /// `options.metrics`:
 ///
 ///   data_load_seconds                   cumulative seconds spent loading
+///                                       (for LoadCsvFile, reading the
+///                                       file too)
 ///   data_rows                           cumulative rows loaded (gauge)
 ///   data_rows_skipped                   cumulative bad rows skipped
 ///                                       (gauge)
@@ -90,7 +95,15 @@ StatusOr<Dataset> LoadCsv(const std::string& text,
                           const std::vector<CsvColumnSpec>& columns,
                           const CsvOptions& options = {});
 
-/// Reads the file at `path` once (ReadTextFile) and calls LoadCsv.
+/// The block LoadCsvFile reads at a time.
+constexpr size_t kCsvReadBlockBytes = size_t{1} << 16;
+
+/// Loads the file at `path` as LoadCsv loads its bytes, returning what
+/// LoadCsv(text) returns, errors and metrics included. The file is read
+/// once, front to back in kCsvReadBlockBytes blocks, with no seek, so a
+/// pipe works ("--csv <(zcat data.csv.gz)"). A line that spans blocks is
+/// carried into the next read, so memory is one block plus the longest
+/// line, never the whole text. NotFound when the file cannot be opened.
 StatusOr<Dataset> LoadCsvFile(const std::string& path,
                               const std::vector<CsvColumnSpec>& columns,
                               const CsvOptions& options = {});

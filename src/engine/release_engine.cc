@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <condition_variable>
+#include <cstdio>
 #include <map>
 #include <set>
 #include <utility>
@@ -18,6 +20,26 @@ std::string QueryKindName(const QueryRequest& request) {
   return request.op == nullptr ? std::string("unknown")
                                : request.op->KindName();
 }
+
+namespace {
+
+/// Refuses an epsilon so small that the Laplace scale S/eps overflows: a
+/// release at that scale publishes inf, not a noised answer. Admission
+/// runs it, before any charge or stream id, wherever it fixes a query's
+/// sensitivity S > 0 and checks eps > 0.
+Status CheckNoiseScale(double sensitivity, double epsilon) {
+  if (!(sensitivity > 0.0) || std::isfinite(sensitivity / epsilon)) {
+    return Status::OK();
+  }
+  char text[96];
+  std::snprintf(text, sizeof(text), "S / eps = %.17g / %.17g", sensitivity,
+                epsilon);
+  return Status::InvalidArgument(
+      std::string("epsilon too small: the noise scale ") + text +
+      " overflows");
+}
+
+}  // namespace
 
 StatusOr<std::unique_ptr<ReleaseEngine>> ReleaseEngine::Create(
     Policy policy, Dataset data, ReleaseEngineOptions options) {
@@ -235,6 +257,9 @@ std::vector<QueryResponse> ReleaseEngine::ServeBatch(
       responses[i].status = Status::InvalidArgument(
           "epsilon must be positive for a query with non-zero "
           "sensitivity");
+    } else {
+      responses[i].status =
+          CheckNoiseScale(*sensitivity, requests[i].epsilon);
     }
   }
 
@@ -385,6 +410,12 @@ std::vector<QueryResponse> ReleaseEngine::ServeBatch(
                 "group is noised at the shared union-cells sensitivity "
                 "on a constrained policy, so no member is a free exact "
                 "release");
+          } else if (Status scale = CheckNoiseScale(*union_sensitivity,
+                                                    requests[m].epsilon);
+                     !scale.ok()) {
+            valid = Status::InvalidArgument("parallel group '" +
+                                            key.second +
+                                            "': " + scale.message());
           }
         }
       }
@@ -529,6 +560,16 @@ std::vector<QueryResponse> ReleaseEngine::ServeBatch(
       // the query's RNG stream.
       item.latency_us->Observe(exec_us);
       item.queries_total->Increment();
+      // A non-finite value is no noised answer: the op's own noise
+      // scale overflowed where admission's S/eps did not (quadtree's
+      // 2 levels / eps), so the query fails and is refunded.
+      if (response.status.ok() &&
+          !std::all_of(response.values.begin(), response.values.end(),
+                       [](double v) { return std::isfinite(v); })) {
+        response.status = Status::OutOfRange(
+            "the release holds a non-finite value: epsilon is too small "
+            "for this query's noise scale");
+      }
       // A failed query releases nothing: drop any partial payload
       // computed before the failure (e.g. the first of several
       // quantiles, already noisy), both as hygiene and because the

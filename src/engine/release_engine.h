@@ -193,10 +193,13 @@ class ReleaseEngine {
   /// Serves a batch. Sensitivity resolution and budget charging run
   /// sequentially (so admission is deterministic); execution fans out
   /// across the worker pool, with the calling thread draining the batch
-  /// queue alongside the workers. A query that fails *after* its budget
-  /// charge (mechanism error mid-batch) is refunded — for a parallel
-  /// group, only when every member failed, since one group charge covers
-  /// all members. Batches are serialized against each other; with the
+  /// queue alongside the workers. Admission refuses a query with S > 0
+  /// whose eps is not positive or whose Laplace scale S/eps overflows,
+  /// before any charge. A query that fails *after* its budget charge
+  /// (mechanism error mid-batch, or a released value that is not
+  /// finite) is refunded and publishes nothing — for a parallel group,
+  /// only when every member failed, since one group charge covers all
+  /// members. Batches are serialized against each other; with the
   /// same construction seed and the same request history the output is
   /// bit-identical regardless of pool size.
   ///

@@ -124,6 +124,18 @@ double NoiseScale(size_t depth, size_t exact, double epsilon) {
   return 2.0 * static_cast<double>(depth - exact) / epsilon;
 }
 
+/// The draw index of node (level, cx, cy), level > exact, in the noise
+/// stream of a release: its storage-order position among the nodes of
+/// levels exact+1..depth, sum_{l=exact+1}^{level-1} 4^l + cx 2^level + cy.
+/// Both release paths noise a node with
+/// Random::LaplaceAt(key, NoisePosition(...), scale).
+uint64_t NoisePosition(size_t exact, size_t level, uint64_t cx, uint64_t cy) {
+  const uint64_t levels_above =
+      ((uint64_t{1} << (2 * level)) - (uint64_t{1} << (2 * (exact + 1)))) /
+      3;
+  return levels_above + (cx << level) + cy;
+}
+
 }  // namespace
 
 size_t QuadtreeMechanism::ExactLevelsForPolicy(const Policy& policy,
@@ -182,14 +194,17 @@ StatusOr<QuadtreeMechanism> QuadtreeMechanism::Release(
     }
   }
 
-  // Exact levels under the policy; everything deeper gets noise, drawn
-  // level by level in storage order — the stream ReleaseRangeCount
-  // indexes into.
+  // Exact levels under the policy; every node deeper gets the draw at
+  // its storage-order position in the release's keyed noise stream.
   const size_t exact = ExactLevels(policy, depth);
   if (exact < depth) {
     const double scale = NoiseScale(depth, exact, epsilon);
+    const uint64_t key = rng.engine()();
     for (size_t l = exact + 1; l <= depth; ++l) {
-      for (double& v : levels[l]) v += rng.Laplace(scale);
+      const uint64_t first = NoisePosition(exact, l, 0, 0);
+      for (size_t i = 0; i < levels[l].size(); ++i) {
+        levels[l][i] += Random::LaplaceAt(key, first + i, scale);
+      }
     }
   }
   return QuadtreeMechanism(side, exact, std::move(levels));
@@ -207,66 +222,33 @@ StatusOr<double> QuadtreeMechanism::ReleaseRangeCount(
   }
   BLOWFISH_RETURN_IF_ERROR(CheckRectangle(rect, side));
 
-  // Collect the canonical nodes, in the decomposition's visiting order.
-  struct Node {
-    size_t level, cx, cy;
-  };
-  std::vector<Node> nodes;
-  Decompose(depth, rect, [&nodes](size_t level, size_t cx, size_t cy) {
-    nodes.push_back({level, cx, cy});
-    return 0.0;
-  });
-
-  // Count each node from h(D) (value index x m1 + y), clipped to the
-  // domain: the padding is empty. Counts are integers below 2^53, so
-  // this sum equals the aggregated tree's in any order.
+  // Each canonical node's value is its count from h(D) (value index
+  // x m1 + y), clipped to the domain since the padding is empty, plus,
+  // below the exact levels, the draw Release gives it. Counts are
+  // integers below 2^53, so a node's count equals the aggregated tree's
+  // in any order, and the recursion RangeCount uses adds the nodes in
+  // the same order.
   const uint64_t m0 = dom.attribute(0).cardinality;
   const uint64_t m1 = dom.attribute(1).cardinality;
-  std::vector<double> values(nodes.size(), 0.0);
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    const Node& node = nodes[i];
-    const uint64_t width = uint64_t{1} << (depth - node.level);
-    const uint64_t x0 = node.cx * width, y0 = node.cy * width;
+  const size_t exact = ExactLevels(policy, depth);
+  const double scale =
+      exact < depth ? NoiseScale(depth, exact, epsilon) : 0.0;
+  const uint64_t key = exact < depth ? rng.engine()() : 0;
+  return Decompose(depth, rect, [&](size_t level, size_t cx, size_t cy) {
+    const uint64_t width = uint64_t{1} << (depth - level);
+    const uint64_t x0 = cx * width, y0 = cy * width;
     const uint64_t x1 = std::min(x0 + width, m0);
     const uint64_t y1 = std::min(y0 + width, m1);
+    double value = 0.0;
     for (uint64_t x = x0; x < x1; ++x) {
-      for (uint64_t y = y0; y < y1; ++y) values[i] += hist[x * m1 + y];
+      for (uint64_t y = y0; y < y1; ++y) value += hist[x * m1 + y];
     }
-  }
-
-  // Noise the nodes below the exact levels. Release draws one Laplace
-  // per node of levels exact+1..depth in storage order, so node
-  // (l, cx, cy) takes draw sum_{l'=exact+1}^{l-1} 4^l' + cx 2^l + cy;
-  // walk the nodes in that order and skip the draws in between.
-  const size_t exact = ExactLevels(policy, depth);
-  if (exact < depth) {
-    const double scale = NoiseScale(depth, exact, epsilon);
-    std::vector<uint64_t> level_start(depth + 1, 0);
-    uint64_t drawn = 0;
-    for (size_t l = exact + 1; l <= depth; ++l) {
-      level_start[l] = drawn;
-      drawn += uint64_t{1} << (2 * l);
+    if (level > exact) {
+      value += Random::LaplaceAt(key, NoisePosition(exact, level, cx, cy),
+                                 scale);
     }
-    std::vector<std::pair<uint64_t, size_t>> draws;  // (position, node)
-    for (size_t i = 0; i < nodes.size(); ++i) {
-      const Node& node = nodes[i];
-      if (node.level <= exact) continue;
-      draws.emplace_back(
-          level_start[node.level] + (node.cx << node.level) + node.cy, i);
-    }
-    std::sort(draws.begin(), draws.end());
-    uint64_t next = 0;
-    for (const auto& [position, i] : draws) {
-      rng.SkipLaplace(position - next);
-      values[i] += rng.Laplace(scale);
-      next = position + 1;
-    }
-  }
-
-  // Sum through the same recursion RangeCount uses.
-  size_t k = 0;
-  return Decompose(depth, rect,
-                   [&](size_t, size_t, size_t) { return values[k++]; });
+    return value;
+  });
 }
 
 StatusOr<double> QuadtreeMechanism::RangeCount(const Rectangle& rect) const {

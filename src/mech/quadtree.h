@@ -18,13 +18,18 @@
 // the spatial analogue of Sec 5's "the histogram of P can be released
 // without any noise".
 //
+// Noise: a release takes one 64-bit key from its `rng`, and node
+// (l, cx, cy) of a noised level gets Random::LaplaceAt(key, position),
+// where position is the node's storage-order index among the noised
+// levels: sum_{l'=exact+1}^{l-1} 4^l' + cx 2^l + cy. Each node's draw
+// is independent of the others and computed in O(1) from its position.
+//
 // Serving: the engine releases a fresh tree per rectangle query, and a
 // query reads only its rectangle's canonical nodes (at most a few
 // thousand of the ~350k in a 512 x 512 tree). ReleaseRangeCount
 // therefore counts just those nodes from h(D) and draws noise just for
-// them, skipping the rest of the release's noise stream — the same
-// bytes as building the whole tree and reading it, at a fraction of
-// the cost.
+// them, by position — the same bytes as building the whole tree and
+// reading it, at a fraction of the cost.
 
 #ifndef BLOWFISH_MECH_QUADTREE_H_
 #define BLOWFISH_MECH_QUADTREE_H_
@@ -71,9 +76,9 @@ class QuadtreeMechanism {
   /// Release(D, ...).RangeCount(rect) returns for the same `rng` on the
   /// dataset D with h(D) = hist, but never builds the tree: it counts
   /// only the rectangle's canonical nodes from `hist`, and draws noise
-  /// only for the noised ones — skipping each gap in the release's
-  /// noise stream (levels exact+1..depth, row-major) with
-  /// Random::SkipLaplace. `rng` is left somewhere inside that stream.
+  /// only for the noised ones, each at its position in the release's
+  /// keyed stream. Like Release, it takes one draw from `rng` when any
+  /// level is noised.
   static StatusOr<double> ReleaseRangeCount(const Histogram& hist,
                                             const Policy& policy,
                                             double epsilon,

@@ -1,23 +1,47 @@
 #include "util/parse.h"
 
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 
 namespace blowfish {
 
+namespace {
+
+/// std::isspace in the "C" locale.
+bool IsSpace(char c) {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' ||
+         c == '\r';
+}
+
+}  // namespace
+
+bool ParseDecimal(std::string_view text, double* value) {
+  const char* begin = text.data();
+  const char* const end = begin + text.size();
+  while (begin != end && IsSpace(*begin)) ++begin;
+  if (begin != end && *begin == '+') {
+    ++begin;
+    // from_chars would take the '-' of "+-4" as the sign.
+    if (begin != end && *begin == '-') return false;
+  }
+  const auto [stop, error] = std::from_chars(begin, end, *value);
+  if (error != std::errc()) return false;  // malformed, or out of range
+  for (const char* p = stop; p != end; ++p) {
+    if (!IsSpace(*p)) return false;
+  }
+  // strtod-style parsers take "nan" and "inf": values that silently
+  // defeat budget comparisons (spent + eps > budget is never true
+  // against NaN).
+  return std::isfinite(*value);
+}
+
 StatusOr<double> ParseFiniteDouble(const std::string& value,
                                    const std::string& context) {
-  char* end = nullptr;
-  const double parsed = std::strtod(value.c_str(), &end);
-  if (end == value.c_str() || *end != '\0') {
+  double parsed = 0.0;
+  if (!ParseDecimal(value, &parsed)) {
     return Status::InvalidArgument("malformed number '" + value + "' for " +
-                                   context);
-  }
-  // strtod happily accepts "nan" and "inf" — values that silently defeat
-  // budget comparisons (spent + eps > budget is never true against NaN).
-  if (!std::isfinite(parsed)) {
-    return Status::InvalidArgument("non-finite number '" + value + "' for " +
                                    context);
   }
   return parsed;

@@ -5,6 +5,21 @@
 
 namespace blowfish {
 
+namespace {
+
+/// Laplace(scale) from a uniform `u01` in [0, 1) by the inverse CDF:
+/// U = u01 - 1/2 is uniform in [-1/2, 1/2), Z = -b * sgn(U) * ln(1 - 2|U|).
+double LaplaceFromUniform(double u01, double scale) {
+  assert(scale > 0.0);
+  double u = u01 - 0.5;
+  // Guard against u == -0.5 producing log(0).
+  if (u <= -0.5) u = std::nextafter(-0.5, 0.0);
+  double sign = (u < 0.0) ? -1.0 : 1.0;
+  return -scale * sign * std::log(1.0 - 2.0 * std::fabs(u));
+}
+
+}  // namespace
+
 double Random::Uniform() {
   return std::uniform_real_distribution<double>(0.0, 1.0)(gen_);
 }
@@ -25,17 +40,16 @@ bool Random::Bernoulli(double p) {
 }
 
 double Random::Laplace(double scale) {
-  assert(scale > 0.0);
-  // Inverse-CDF sampling: U uniform in (-1/2, 1/2),
-  // Z = -b * sgn(U) * ln(1 - 2|U|).
-  double u = Uniform() - 0.5;
-  // Guard against u == -0.5 producing log(0).
-  if (u <= -0.5) u = std::nextafter(-0.5, 0.0);
-  double sign = (u < 0.0) ? -1.0 : 1.0;
-  return -scale * sign * std::log(1.0 - 2.0 * std::fabs(u));
+  return LaplaceFromUniform(Uniform(), scale);
 }
 
-void Random::SkipLaplace(uint64_t n) { gen_.discard(n); }
+double Random::LaplaceAt(uint64_t key, uint64_t index, double scale) {
+  const uint64_t word = SplitMix64(key ^ SplitMix64(index));
+  // The top 53 bits, scaled by 2^-53: every double in [0, 1) this can
+  // produce is exact.
+  return LaplaceFromUniform(static_cast<double>(word >> 11) * 0x1.0p-53,
+                            scale);
+}
 
 std::vector<double> Random::LaplaceVector(size_t n, double scale) {
   std::vector<double> out(n);

@@ -4,6 +4,12 @@
 // reproducible from a single seed. The Laplace sampler is the workhorse of
 // the paper (Def 2.3): every Blowfish/DP mechanism here is an instance of
 // "add Laplace noise calibrated to a (policy-specific) sensitivity".
+//
+// Two kinds of stream: a Random instance draws sequentially from its
+// engine, and Random::LaplaceAt is counter-based (Salmon et al.,
+// "Parallel random numbers: as easy as 1, 2, 3", SC 2011): the index-th
+// draw of a keyed stream is computed in O(1), without the draws before
+// it, so a mechanism can noise any subset of a large vector by position.
 
 #ifndef BLOWFISH_UTIL_RANDOM_H_
 #define BLOWFISH_UTIL_RANDOM_H_
@@ -16,9 +22,9 @@ namespace blowfish {
 
 /// splitmix64 finalizer (Steele et al., "Fast splittable pseudorandom
 /// number generators"): bijective avalanche mix of a 64-bit word. The
-/// substrate of Random::Fork(stream_id) and of every derived-seed scheme
-/// in the codebase (e.g. the serving host's tenant seeds) — one
-/// implementation, so derivations cannot silently diverge.
+/// substrate of Random::Fork(stream_id), Random::LaplaceAt and of every
+/// derived-seed scheme in the codebase (e.g. the serving host's tenant
+/// seeds) — one implementation, so derivations cannot silently diverge.
 uint64_t SplitMix64(uint64_t x);
 
 /// Deterministically seedable pseudo-random generator with the samplers the
@@ -46,11 +52,12 @@ class Random {
   /// Vector of `n` independent Laplace(scale) draws.
   std::vector<double> LaplaceVector(size_t n, double scale);
 
-  /// Advances the stream past `n` Laplace draws without computing them:
-  /// the next Laplace() returns what it would after `n` Laplace() calls.
-  /// Each draw consumes exactly one engine output, so this is
-  /// engine().discard(n).
-  void SkipLaplace(uint64_t n);
+  /// The `index`-th Laplace(scale) draw of the counter-based stream
+  /// keyed by `key`: a pure function of (key, index), computed in O(1).
+  /// The word SplitMix64(key ^ SplitMix64(index)) gives a 53-bit uniform
+  /// in [0, 1), which goes through the inverse CDF that Laplace() uses.
+  /// Distinct indices of one key are independent draws. Requires b > 0.
+  static double LaplaceAt(uint64_t key, uint64_t index, double scale);
 
   /// Gaussian draw with the given mean and standard deviation.
   double Gaussian(double mean, double stddev);

@@ -1,5 +1,6 @@
-// Whole-file reads for the text inputs every front end takes: policy
-// specs, serve configs, request files, CSV datasets and budget ledgers.
+// Whole-file reads for the small text inputs every front end takes:
+// policy specs, serve configs, request files and budget ledgers. CSV
+// datasets are streamed instead (data/csv_loader.h LoadCsvFile).
 
 #ifndef BLOWFISH_UTIL_TEXT_FILE_H_
 #define BLOWFISH_UTIL_TEXT_FILE_H_

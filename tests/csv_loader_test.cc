@@ -2,12 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <cctype>
+#include <csignal>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <thread>
 
 #include "obs/metrics.h"
 #include "util/random.h"
@@ -455,6 +461,224 @@ TEST(CsvLoaderTest, LoadsFromFile) {
   EXPECT_EQ(d.tuple(1), 200u);
   std::remove(path);
   EXPECT_FALSE(LoadCsvFile("/nonexistent/file.csv", {LossColumn()}).ok());
+}
+
+/// What one load returned: its status, and on success its tuples and
+/// the row gauges it recorded into a fresh registry.
+struct LoadResult {
+  std::string status;
+  std::vector<ValueIndex> tuples;
+  int64_t rows = 0;
+  int64_t skipped = 0;
+};
+
+LoadResult Summarize(const StatusOr<Dataset>& loaded,
+                     obs::MetricsRegistry& registry) {
+  LoadResult result;
+  result.status = loaded.status().ToString();
+  if (loaded.ok()) {
+    result.tuples = loaded->tuples();
+    result.rows = registry.GetGauge("data_rows")->Value();
+    result.skipped = registry.GetGauge("data_rows_skipped")->Value();
+  }
+  return result;
+}
+
+void ExpectSameLoad(const LoadResult& got, const LoadResult& want) {
+  EXPECT_EQ(got.status, want.status);
+  EXPECT_EQ(got.tuples, want.tuples);
+  EXPECT_EQ(got.rows, want.rows);
+  EXPECT_EQ(got.skipped, want.skipped);
+}
+
+LoadResult LoadInMemory(const std::string& text,
+                        const std::vector<CsvColumnSpec>& columns,
+                        CsvOptions options) {
+  obs::MetricsRegistry registry;
+  options.metrics = &registry;
+  return Summarize(LoadCsv(text, columns, options), registry);
+}
+
+LoadResult LoadFromPath(const std::string& path,
+                        const std::vector<CsvColumnSpec>& columns,
+                        CsvOptions options) {
+  obs::MetricsRegistry registry;
+  options.metrics = &registry;
+  return Summarize(LoadCsvFile(path, columns, options), registry);
+}
+
+/// Writes `text` to a file and expects LoadCsvFile to return what
+/// LoadCsv returns for the same bytes, in both bad-row modes.
+void ExpectStreamedLoadMatches(const std::string& text,
+                               const std::vector<CsvColumnSpec>& columns,
+                               CsvOptions options) {
+  const std::string path = ::testing::TempDir() + "csv_loader_stream.csv";
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << text;
+  }
+  for (const bool skip : {true, false}) {
+    SCOPED_TRACE(skip ? "skip_bad_rows" : "strict");
+    options.skip_bad_rows = skip;
+    ExpectSameLoad(LoadFromPath(path, columns, options),
+                   LoadInMemory(text, columns, options));
+  }
+  std::remove(path.c_str());
+}
+
+CsvColumnSpec ValueColumn(size_t column) {
+  CsvColumnSpec spec;
+  spec.column = column;
+  spec.attribute = Attribute{"v" + std::to_string(column), 100, 1.0};
+  return spec;
+}
+
+/// Appends one-cell rows to `text` until it is exactly `size` bytes
+/// long; needs at least two bytes to go.
+void FillTo(std::string* text, size_t size) {
+  while (text->size() + 3 < size) *text += "5\n";
+  *text += size - text->size() == 3 ? "15\n" : "5\n";
+}
+
+/// Several blocks of random rows: good, bad, short, blank and padded
+/// lines, with LF or CRLF ends, and sometimes no final newline.
+std::string RandomLongCsv(Random& rng) {
+  std::string text = "a,b,c\n";
+  const size_t target =
+      kCsvReadBlockBytes * static_cast<size_t>(rng.UniformInt(2, 4)) +
+      static_cast<size_t>(rng.UniformInt(0, 999));
+  const bool crlf = rng.Bernoulli(0.5);
+  while (text.size() < target) {
+    switch (rng.UniformInt(0, 9)) {
+      case 0:
+        break;  // blank line
+      case 1:
+        text += Pick(rng, {"x,1,2", "1", "1,nan,2", "0x5,1,1", ",,"});
+        break;
+      case 2:
+        text += std::string(static_cast<size_t>(rng.UniformInt(0, 3000)),
+                            ' ') +
+                "7,8,9";
+        break;
+      default:
+        text += std::to_string(rng.UniformInt(0, 120)) + "," +
+                std::to_string(rng.UniformInt(0, 99)) + ",+" +
+                std::to_string(rng.UniformInt(0, 99)) + " ";
+    }
+    text += crlf ? "\r\n" : "\n";
+  }
+  if (rng.Bernoulli(0.5)) text += "42,1,2";  // no final newline
+  return text;
+}
+
+TEST(CsvLoaderTest, StreamedLoadMatchesInMemoryLoad) {
+  const std::vector<CsvColumnSpec> columns = {ValueColumn(2), ValueColumn(0)};
+  Random rng(20241019);
+  for (int trial = 0; trial < 12; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const std::string text = RandomLongCsv(rng);
+    for (const bool has_header : {true, false}) {
+      CsvOptions options;
+      options.has_header = has_header;
+      ExpectStreamedLoadMatches(text, columns, options);
+    }
+  }
+}
+
+TEST(CsvLoaderTest, StreamedLoadAtBlockEdges) {
+  const std::vector<CsvColumnSpec> column = {ValueColumn(0)};
+  const size_t block = kCsvReadBlockBytes;
+  std::vector<std::pair<std::string, std::string>> cases;
+  // A row straddling each of the first three block edges, starting
+  // just before, at and just after it.
+  for (size_t edge : {block, 2 * block, 3 * block}) {
+    for (size_t start : {edge - 3, edge - 1, edge, edge + 1}) {
+      std::string text = "v\n";
+      FillTo(&text, start);
+      text += "42\n17\n";
+      cases.emplace_back("row at " + std::to_string(start), text);
+    }
+  }
+  {
+    // One line longer than a block: a cell padded past the block.
+    std::string text = "v\n";
+    FillTo(&text, block - 10);
+    text += "4" + std::string(2 * block + 7, ' ') + "\n9\n";
+    cases.emplace_back("line longer than a block", text);
+  }
+  {
+    std::string text = "v\r\n";
+    while (text.size() < 3 * block) text += "12\r\n3 \r\n";
+    cases.emplace_back("CRLF", text);
+  }
+  {
+    std::string text = "v\n";
+    FillTo(&text, 2 * block - 1);
+    text += "88";
+    cases.emplace_back("no final newline across an edge", text);
+  }
+  cases.emplace_back("header only", "v\n");
+  cases.emplace_back("header only, no newline", "v");
+  cases.emplace_back("header only, CRLF", "v\r\n");
+  cases.emplace_back("empty", "");
+  for (size_t at : {block - 1, block}) {
+    // A blank line whose '\n' ends a block, or begins one.
+    std::string text = "v\n";
+    FillTo(&text, at);
+    text += "\n33\n";
+    cases.emplace_back("blank line at " + std::to_string(at), text);
+  }
+  for (const char* bad : {"x\n", "\n,\n", "nan\n"}) {
+    // A bad row past the first block: strict mode names its line.
+    std::string text = "v\n";
+    FillTo(&text, 2 * block + 5);
+    text += bad;
+    text += "6\n";
+    cases.emplace_back("bad row past the first block", text);
+  }
+  for (const auto& [name, text] : cases) {
+    SCOPED_TRACE(name);
+    ExpectStreamedLoadMatches(text, column, CsvOptions());
+  }
+  // The strict error names the bad row's line, past the first block.
+  std::string text = "v\n";
+  FillTo(&text, 2 * block + 5);
+  const size_t bad_line =
+      static_cast<size_t>(std::count(text.begin(), text.end(), '\n')) + 1;
+  text += "x\n6\n";
+  CsvOptions strict;
+  strict.skip_bad_rows = false;
+  auto loaded = LoadInMemory(text, column, strict);
+  EXPECT_NE(loaded.status.find("line " + std::to_string(bad_line) + ":"),
+            std::string::npos)
+      << loaded.status;
+}
+
+TEST(CsvLoaderTest, StreamedLoadReadsAPipe) {
+  // The read end of a pipe, opened by its /dev/fd name and fed by a
+  // writer thread: the load reads it front to back, as for a
+  // `--csv <(...)` argument.
+  std::signal(SIGPIPE, SIG_IGN);  // a failed load closes the read end
+  const std::vector<CsvColumnSpec> columns = {ValueColumn(2), ValueColumn(0)};
+  Random rng(77);
+  const std::string text = RandomLongCsv(rng);
+  int fds[2];
+  ASSERT_EQ(pipe(fds), 0);
+  std::thread writer([&text, fd = fds[1]]() {
+    for (size_t written = 0; written < text.size();) {
+      const ssize_t n = write(fd, text.data() + written, text.size() - written);
+      if (n <= 0) break;
+      written += static_cast<size_t>(n);
+    }
+    close(fd);
+  });
+  const LoadResult got =
+      LoadFromPath("/dev/fd/" + std::to_string(fds[0]), columns, {});
+  close(fds[0]);
+  writer.join();
+  ExpectSameLoad(got, LoadInMemory(text, columns, {}));
+  EXPECT_GT(text.size(), 2 * kCsvReadBlockBytes);
+  EXPECT_GT(got.rows, 100);
 }
 
 TEST(CsvLoaderTest, RecordsLoadMetrics) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
 #include <vector>
 
 #include "util/stats.h"
@@ -68,15 +69,54 @@ TEST(RandomTest, LaplaceMoments) {
   EXPECT_NEAR(Variance(draws), 2.0 * scale * scale, 0.3);
 }
 
-// SkipLaplace(k) lands where k Laplace() draws would: across the
-// engine's 312-word state blocks, and past a whole 512 x 512 quadtree.
-TEST(RandomTest, SkipLaplaceMatchesDrawing) {
-  for (uint64_t k : {0u, 1u, 311u, 312u, 313u, 349524u}) {
-    Random drawn(2014), skipped(2014);
-    for (uint64_t i = 0; i < k; ++i) drawn.Laplace(1.5);
-    skipped.SkipLaplace(k);
-    EXPECT_EQ(drawn.Laplace(1.5), skipped.Laplace(1.5)) << "k = " << k;
+// Laplace()'s draws are pinned: the first draws of seed 2014, as
+// recorded before Laplace() and LaplaceAt() came to share one inverse
+// CDF.
+TEST(RandomTest, LaplaceDrawsArePinned) {
+  Random rng(2014);
+  EXPECT_EQ(rng.Laplace(1.5), 6.2626047921510564);
+  EXPECT_EQ(rng.Laplace(1.5), -1.6911288188467131);
+  EXPECT_EQ(rng.Laplace(1.5), -0.30380220601825031);
+  EXPECT_EQ(rng.Laplace(1.5), 0.0066956289278249405);
+  EXPECT_EQ(rng.Laplace(1.5), 0.40850196845947689);
+}
+
+// LaplaceAt is a pure function of (key, index): the same pair gives the
+// same draw whatever was drawn before, and distinct indices of one key,
+// or one index under distinct keys, give distinct draws.
+TEST(RandomTest, LaplaceAtIsAPureFunctionOfKeyAndIndex) {
+  const uint64_t key = 0x2014;
+  const double first = Random::LaplaceAt(key, 349523, 1.5);
+  for (uint64_t i = 0; i < 1000; ++i) Random::LaplaceAt(key, i, 1.5);
+  EXPECT_EQ(Random::LaplaceAt(key, 349523, 1.5), first);
+
+  std::set<double> by_index;
+  for (uint64_t i = 0; i < 10000; ++i) {
+    by_index.insert(Random::LaplaceAt(key, i, 1.0));
   }
+  EXPECT_EQ(by_index.size(), 10000u);
+  std::set<double> by_key;
+  for (uint64_t k = 0; k < 10000; ++k) {
+    by_key.insert(Random::LaplaceAt(k, 7, 1.0));
+  }
+  EXPECT_EQ(by_key.size(), 10000u);
+}
+
+// Over 10^5 indices of one key, LaplaceAt has Laplace(b)'s mean 0,
+// variance 2 b^2 and tail P(|Z| > b ln 2) = 1/2, within the tolerances
+// of the sequential sampler's tests.
+TEST(RandomTest, LaplaceAtMatchesLaplaceDistribution) {
+  const double scale = 2.5;
+  const size_t n = 100000;
+  std::vector<double> draws(n);
+  size_t beyond = 0;
+  for (size_t i = 0; i < n; ++i) {
+    draws[i] = Random::LaplaceAt(123, i, scale);
+    if (std::fabs(draws[i]) > scale * std::log(2.0)) ++beyond;
+  }
+  EXPECT_NEAR(Mean(draws), 0.0, 0.05);
+  EXPECT_NEAR(Variance(draws), 2.0 * scale * scale, 0.3);
+  EXPECT_NEAR(static_cast<double>(beyond) / n, 0.5, 0.01);
 }
 
 // P(|Z| > t) = exp(-t/b) for Laplace; at t = b ln 2 the tail mass is 1/2.

@@ -457,6 +457,95 @@ TEST(ReleaseEngineTest, PositiveSensitivityRequiresPositiveEpsilon) {
   EXPECT_EQ(responses[0].status.code(), StatusCode::kInvalidArgument);
 }
 
+TEST(ReleaseEngineTest, OverflowingNoiseScaleRefusedBeforeCharge) {
+  // S(h, line) = 2 and eps = 1e-308 is a normal double, but S/eps is
+  // above DBL_MAX: a release at that scale would publish inf in every
+  // cell. Admission refuses it before any charge or stream id, so the
+  // next query draws stream 0, as on a fresh engine.
+  auto domain = LineDomain(50);
+  Policy policy = Policy::Line(domain).value();
+  Dataset data = MakeData(domain, 300);
+  ReleaseEngineOptions options;
+  options.root_seed = kSeed;
+  auto engine = MakeEngine(policy, data, options);
+  auto responses =
+      engine->ServeBatch({HistogramRequest(1e-308), HistogramRequest(0.5)});
+  ASSERT_EQ(responses.size(), 2u);
+  EXPECT_EQ(responses[0].status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(responses[0].status.message().find("overflows"),
+            std::string::npos)
+      << responses[0].status.message();
+  EXPECT_TRUE(responses[0].values.empty());
+  EXPECT_EQ(responses[0].receipt.charge_id, 0u);
+  ASSERT_TRUE(responses[1].status.ok()) << responses[1].status.ToString();
+  EXPECT_DOUBLE_EQ(engine->accountant().Spent(""), 0.5);
+
+  auto fresh = MakeEngine(policy, data, options);
+  EXPECT_EQ(fresh->ServeBatch({HistogramRequest(0.5)})[0].values,
+            responses[1].values);
+}
+
+TEST(ReleaseEngineTest, OverflowingUnionScaleRefusesTheGroup) {
+  // A pinned-constrained group skips pass 1's per-member sensitivity:
+  // its members are noised at the union-cells scale fixed in pass 2,
+  // which must refuse an overflowing S/eps there, as a group, with
+  // nothing charged. Line(7) in G^P cells {0..3} / {4, 5} / {6} under a
+  // constant pinned count.
+  auto domain = LineDomain(7);
+  Dataset data = MakeData(domain, 80);
+  const std::vector<uint64_t> cell_of{0, 0, 0, 0, 1, 1, 2};
+  auto part = std::make_shared<const PartitionGraph>(
+      cell_of.size(), [cell_of](ValueIndex x) { return cell_of[x]; },
+      "partition|scale");
+  ConstraintSet cs;
+  cs.AddWithAnswer(CountQuery("all", [](ValueIndex) { return true; }),
+                   data.size());
+  Policy policy = Policy::Create(domain, part, std::move(cs)).value();
+  auto engine = MakeEngine(policy, data, {});
+  auto responses = engine->ServeBatch(ParseBatchRequests(
+      "cell_histogram eps=1e-308 cells=0 group=g\n"
+      "cell_histogram eps=1e-308 cells=1 group=g\n").value());
+  ASSERT_EQ(responses.size(), 2u);
+  for (const QueryResponse& r : responses) {
+    EXPECT_EQ(r.status.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(r.status.message().find("parallel group 'g'"),
+              std::string::npos)
+        << r.status.message();
+    EXPECT_NE(r.status.message().find("overflows"), std::string::npos)
+        << r.status.message();
+    EXPECT_EQ(r.receipt.charge_id, 0u);
+  }
+  EXPECT_DOUBLE_EQ(engine->accountant().Spent(""), 0.0);
+}
+
+TEST(ReleaseEngineTest, NonFiniteReleaseIsRefundedAndNotPublished) {
+  // On the 8x8 grid under G^full, S/eps = 2 / 2.5e-308 is finite, so
+  // admission charges the query, but quadtree noises each of its 3
+  // levels at 2 * 3 / eps, which overflows. The drain fails the
+  // release: nothing is published and the charge comes back.
+  auto domain = GridDomain(8, 2);
+  Policy policy = Policy::FullDomain(domain).value();
+  Dataset data = MakeData(domain, 300);
+  ReleaseEngineOptions options;
+  options.root_seed = kSeed;
+  options.default_session_budget = 1.0;
+  auto engine = MakeEngine(policy, data, options);
+  std::vector<size_t> streamed;
+  auto responses = engine->ServeBatch(
+      {Request("quadtree", 2.5e-308,
+               {{"x0", "0"}, {"x1", "5"}, {"y0", "1"}, {"y1", "6"}})},
+      [&streamed](size_t index, const QueryResponse& r) {
+        EXPECT_TRUE(r.values.empty());
+        streamed.push_back(index);
+      });
+  ASSERT_EQ(responses.size(), 1u);
+  EXPECT_EQ(responses[0].status.code(), StatusCode::kOutOfRange);
+  EXPECT_TRUE(responses[0].values.empty());
+  EXPECT_TRUE(responses[0].receipt.refunded);
+  EXPECT_EQ(streamed, std::vector<size_t>{0});
+  EXPECT_DOUBLE_EQ(engine->accountant().Spent(""), 0.0);
+}
+
 TEST(ReleaseEngineTest, RequestWithoutOpRefused) {
   // A default-constructed request has no op; the registry-driven engine
   // refuses it instead of guessing a kind, and QueryKindName reports the

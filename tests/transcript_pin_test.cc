@@ -2,14 +2,17 @@
 // at pool sizes {0, 1, 8}, on line and grid fixtures (unconstrained and
 // constrained twins of each), must reproduce recorded transcript
 // digests — FNV-1a hashes over values, statuses, sensitivities and full
-// budget receipts. Each transcript is pinned as two digests: one over
-// every response except kmeans's, one over kmeans's alone. The
-// kmeans-free digests were recorded from the engine as it stood before
-// kmeans was served from h(D); the kmeans digests were re-recorded then,
-// because that change re-keyed kmeans's noise on purpose. Every later
-// deletion in the serving path is checked against the same bytes, not
-// merely against another path of the same build. A change that moves
-// served bytes on purpose re-records the digests it moves and says so.
+// budget receipts. Each transcript is pinned as three digests: one over
+// every response except kmeans's and quadtree's, one over kmeans's
+// alone and one over quadtree's alone. The rest digests were recorded
+// from the engine as it stood before kmeans was served from h(D); the
+// kmeans digests were re-recorded then, because that change re-keyed
+// kmeans's noise on purpose, and the grid fixtures' quadtree digests
+// were re-recorded when quadtree nodes took counter-based draws. Every
+// later deletion in the serving path is checked against the same bytes,
+// not merely against another path of the same build. A change that
+// moves served bytes on purpose re-records the digests it moves and
+// says so.
 //
 // A final test drives the same contract over the wire: a daemon tenant
 // answers the whole-registry batch with the transcript of the in-process
@@ -83,9 +86,15 @@ std::vector<QueryRequest> WholeRegistryBatch() {
 }
 
 /// The part of a transcript a digest covers: every response but
-/// kmeans's, or kmeans's alone (the whole-registry batch labels each
-/// request with its kind).
-enum class Part { kRest, kKMeans };
+/// kmeans's and quadtree's, kmeans's alone, or quadtree's alone (the
+/// whole-registry batch labels each request with its kind).
+enum class Part { kRest, kKMeans, kQuadtree };
+
+Part PartOf(const QueryResponse& r) {
+  if (r.label == "kmeans") return Part::kKMeans;
+  if (r.label == "quadtree") return Part::kQuadtree;
+  return Part::kRest;
+}
 
 /// FNV-1a over one part of a transcript: status code and message,
 /// label, payload bits, sensitivity bits and every receipt field.
@@ -98,9 +107,7 @@ class TranscriptDigest {
   void Add(const std::vector<QueryResponse>& responses) {
     std::vector<const QueryResponse*> kept;
     for (const QueryResponse& r : responses) {
-      if ((r.label == "kmeans") == (part_ == Part::kKMeans)) {
-        kept.push_back(&r);
-      }
+      if (PartOf(r) == part_) kept.push_back(&r);
     }
     U64(kept.size());
     for (const QueryResponse* r : kept) {
@@ -144,24 +151,29 @@ class TranscriptDigest {
   uint64_t h_ = 14695981039346656037ull;
 };
 
-/// Both digests of a transcript.
+/// The three digests of a transcript.
 struct Digests {
   uint64_t rest;
   uint64_t kmeans;
+  uint64_t quadtree;
 };
 
-/// Accumulates both digests over consecutive batches.
+/// Accumulates the three digests over consecutive batches.
 class SplitDigest {
  public:
   void Add(const std::vector<QueryResponse>& responses) {
     rest_.Add(responses);
     kmeans_.Add(responses);
+    quadtree_.Add(responses);
   }
-  Digests value() const { return {rest_.value(), kmeans_.value()}; }
+  Digests value() const {
+    return {rest_.value(), kmeans_.value(), quadtree_.value()};
+  }
 
  private:
   TranscriptDigest rest_{Part::kRest};
   TranscriptDigest kmeans_{Part::kKMeans};
+  TranscriptDigest quadtree_{Part::kQuadtree};
 };
 
 Digests Digest(const std::vector<QueryResponse>& responses) {
@@ -178,8 +190,10 @@ std::string Hex(uint64_t v) {
 }
 
 void ExpectDigests(const Digests& actual, const Digests& recorded) {
-  EXPECT_EQ(Hex(actual.rest), Hex(recorded.rest)) << "kmeans-free digest";
+  EXPECT_EQ(Hex(actual.rest), Hex(recorded.rest)) << "rest digest";
   EXPECT_EQ(Hex(actual.kmeans), Hex(recorded.kmeans)) << "kmeans digest";
+  EXPECT_EQ(Hex(actual.quadtree), Hex(recorded.quadtree))
+      << "quadtree digest";
 }
 
 struct Fixture {
@@ -223,8 +237,10 @@ std::vector<Fixture> Fixtures() {
             .value();
     out.push_back(Fixture{"unconstrained", std::move(policy), data,
                           {"hier_range", "quadtree"},
-                          {0x475393e2df3b7705ull, 0xafd2c968c0d51415ull},
-                          {0xcb8d40fb02072ac6ull, 0x194e828b31e2b80cull}});
+                          {0x728bb71e424375abull, 0xafd2c968c0d51415ull,
+                           0x593122b5ba3c6917ull},
+                          {0x59008baaa5d880c6ull, 0x194e828b31e2b80cull,
+                           0xcb16d65709bdf79full}});
   }
   {
     auto part = PartitionGraph::UniformGrid(domain, {4}).value();
@@ -239,8 +255,10 @@ std::vector<Fixture> Fixtures() {
             .value();
     out.push_back(Fixture{"constrained", std::move(policy), data,
                           {"hier_range", "quadtree"},
-                          {0x2c707305c8f9a291ull, 0x0789ea0a8b0cb6d0ull},
-                          {0x96af69b82af72e76ull, 0x6da916b4091eda29ull}});
+                          {0x45114a3d578ef4cbull, 0x0789ea0a8b0cb6d0ull,
+                           0x593122b5ba3c6917ull},
+                          {0xdb0f2a43d1151612ull, 0x6da916b4091eda29ull,
+                           0xcb16d65709bdf79full}});
   }
   {
     Policy policy =
@@ -248,8 +266,10 @@ std::vector<Fixture> Fixtures() {
             .value();
     out.push_back(Fixture{"line_graph", std::move(policy), std::move(data),
                           {"cell_histogram", "quadtree"},
-                          {0xb1771f59a87c3148ull, 0xf79d35c57d0b9177ull},
-                          {0x5968c608d8a86f07ull, 0xd491835d77ea5220ull}});
+                          {0x4ec794e6bd4f89b2ull, 0xf79d35c57d0b9177ull,
+                           0x593122b5ba3c6917ull},
+                          {0x17404c97c7c6192full, 0xd491835d77ea5220ull,
+                           0xcb16d65709bdf79full}});
   }
   auto grid =
       std::make_shared<const Domain>(Domain::Grid(8, 2).value());
@@ -262,8 +282,10 @@ std::vector<Fixture> Fixtures() {
             .value();
     out.push_back(Fixture{"grid_unconstrained", std::move(policy), grid_data,
                           kGridRefusals,
-                          {0x4941eb32161fc431ull, 0x7fd1d88d268ac132ull},
-                          {0x433fddc1a5648748ull, 0x7949edb422c4cbbcull}});
+                          {0xa16ec9cfee2475f1ull, 0x7fd1d88d268ac132ull,
+                           0x08888cea34d9314cull},
+                          {0x2baf40f6637a803bull, 0x7949edb422c4cbbcull,
+                           0xdafecf94650f2673ull}});
   }
   {
     auto part = PartitionGraph::UniformGrid(grid, {2, 2}).value();
@@ -280,8 +302,10 @@ std::vector<Fixture> Fixtures() {
             .value();
     out.push_back(Fixture{"grid_constrained", std::move(policy),
                           std::move(grid_data), kGridRefusals,
-                          {0xd734da9bc349d973ull, 0x65a3f981c1348cc8ull},
-                          {0x856d0b75cc216a3bull, 0x24e6d17b86086412ull}});
+                          {0x7492f67970847e99ull, 0x65a3f981c1348cc8ull,
+                           0xf6868cd21e0ddc6dull},
+                          {0x0e083299b6b02511ull, 0x24e6d17b86086412ull,
+                           0xeaa4719815c55cd9ull}});
   }
   return out;
 }
