@@ -4,15 +4,20 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "core/policy.h"
 #include "core/sensitivity.h"
+#include "data/csv_loader.h"
+#include "data/synthetic.h"
 #include "mech/constrained_inference.h"
 #include "mech/hierarchical.h"
 #include "mech/kmeans.h"
 #include "mech/laplace.h"
 #include "mech/ordered.h"
 #include "mech/ordered_hierarchical.h"
+#include "obs/metrics.h"
 #include "util/random.h"
 
 namespace blowfish {
@@ -146,6 +151,60 @@ void BM_SensitivityEngineThetaGraph(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SensitivityEngineThetaGraph);
+
+/// `data` as a CSV: a header of attribute names, then one row of
+/// comma-separated levels per tuple.
+std::string CsvText(const Dataset& data) {
+  const Domain& domain = data.domain();
+  std::string text;
+  for (size_t a = 0; a < domain.num_attributes(); ++a) {
+    text += (a == 0 ? "" : ",") + domain.attribute(a).name;
+  }
+  text += "\n";
+  for (ValueIndex v : data.tuples()) {
+    for (size_t a = 0; a < domain.num_attributes(); ++a) {
+      if (a > 0) text += ",";
+      text += std::to_string(domain.Coordinate(v, a));
+    }
+    text += "\n";
+  }
+  return text;
+}
+
+/// LoadCsv's rows/s on 2^20 rows of one corpus shape: 0 adult-like (one
+/// column of 4357 levels, mostly 0), 1 latitude-like (one column of 400
+/// levels), 2 the twitter-like 400x300 grid (two columns).
+void BM_LoadCsv(benchmark::State& state) {
+  constexpr size_t kRows = size_t{1} << 20;
+  Random rng(9);
+  StatusOr<Dataset> data = Status::Internal("no shape");
+  switch (state.range(0)) {
+    case 0:
+      state.SetLabel("adult-like");
+      data = GenerateAdultCapitalLossLike(kRows, rng);
+      break;
+    case 1:
+      state.SetLabel("latitude-like");
+      data = GenerateTwitterLatitudeLike(kRows, rng);
+      break;
+    default:
+      state.SetLabel("400x300 grid");
+      data = GenerateTwitterLike(kRows, rng);
+  }
+  const std::string text = CsvText(data.value());
+  std::vector<CsvColumnSpec> columns;
+  for (size_t a = 0; a < data->domain().num_attributes(); ++a) {
+    columns.push_back({a, data->domain().attribute(a), 1.0, 0.0});
+  }
+  obs::MetricsRegistry registry;
+  CsvOptions options;
+  options.metrics = &registry;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(LoadCsv(text, columns, options).value());
+  }
+  state.SetItemsProcessed(state.iterations() * kRows);
+}
+BENCHMARK(BM_LoadCsv)->Arg(0)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace blowfish

@@ -23,6 +23,35 @@ bool ParseCell(std::string_view cell, double* value) {
          (*value == 0.0 || std::fabs(*value) >= DBL_MIN);
 }
 
+/// The most digits an integer cell may have and still be read in place:
+/// 10^15 - 1 < 2^53, so every such integer is an exact double.
+constexpr size_t kMaxInPlaceDigits = 15;
+
+/// Reads `cell` in place when it is 1 to kMaxInPlaceDigits ASCII digits,
+/// optionally followed by one '\r', which the grammar reads as trailing
+/// space (a CRLF row's last cell). Such a cell's value is the integer its
+/// digits spell, which ParseCell reads too, exactly; any other cell
+/// returns false for ParseCell to read.
+bool ReadInteger(std::string_view cell, uint64_t* value) {
+  size_t digits = cell.size();
+  if (digits != 0 && cell[digits - 1] == '\r') --digits;
+  if (digits == 0 || digits > kMaxInPlaceDigits) return false;
+  uint64_t v = 0;
+  for (size_t i = 0; i < digits; ++i) {
+    const unsigned digit = static_cast<unsigned char>(cell[i]) - '0';
+    if (digit > 9) return false;
+    v = v * 10 + digit;
+  }
+  *value = v;
+  return true;
+}
+
+/// The '\n' that ends the line holding `p`, or `end` for the last line.
+const char* LineEnd(const char* p, const char* end) {
+  const void* eol = std::memchr(p, '\n', static_cast<size_t>(end - p));
+  return eol == nullptr ? end : static_cast<const char*>(eol);
+}
+
 /// The distinct levels seen in one column: a bitmap over the
 /// attribute's levels, or a hash set for attributes too wide to index.
 class LevelSet {
@@ -86,28 +115,33 @@ class CsvParser {
   /// the input's last line needs none, so `end` is either just past a
   /// '\n' or the end of the input.
   Status Lines(const char* next, const char* const end) {
+    const char separator = options_.separator;
     while (next != end) {
-      const char* line = next;
-      const char* eol = static_cast<const char*>(
-          std::memchr(line, '\n', static_cast<size_t>(end - line)));
-      if (eol == nullptr) eol = end;
-      next = eol == end ? end : eol + 1;
+      const char* const line = next;
       ++line_no_;
-      if (line_no_ == 1 && options_.has_header) continue;
-      if (line == eol) continue;
-      // Cell i runs from just past separator i to the next separator or
-      // the line's end; cells past max_column are never looked at, so a
-      // row holds at most max_column + 1 views, and no more than the
-      // line has cells.
-      cells_.clear();
-      for (const char* cell = line; cells_.size() <= max_column_;) {
-        const char* sep = static_cast<const char*>(std::memchr(
-            cell, options_.separator, static_cast<size_t>(eol - cell)));
-        const char* cell_end = sep == nullptr ? eol : sep;
-        cells_.emplace_back(cell, static_cast<size_t>(cell_end - cell));
-        if (sep == nullptr) break;
-        cell = sep + 1;
+      if ((line_no_ == 1 && options_.has_header) || *line == '\n') {
+        const char* eol = LineEnd(line, end);
+        next = eol == end ? end : eol + 1;
+        continue;
       }
+      // Cell i runs from just past separator i to the next separator or
+      // the line's end. One scan splits the row and finds its end; cells
+      // past max_column are never looked at, so a row holds at most
+      // max_column + 1 views, and no more than the line has cells.
+      cells_.clear();
+      const char* p = line;
+      while (true) {
+        const char* const cell = p;
+        while (p != end && *p != '\n' && *p != separator) ++p;
+        cells_.emplace_back(cell, static_cast<size_t>(p - cell));
+        if (p == end || *p == '\n') break;
+        if (cells_.size() > max_column_) {
+          p = LineEnd(p, end);
+          break;
+        }
+        ++p;
+      }
+      next = p == end ? end : p + 1;
       if (cells_.size() <= max_column_) {
         if (options_.skip_bad_rows) {
           ++skipped_;
@@ -119,15 +153,25 @@ class CsvParser {
       bool bad = false;
       for (size_t i = 0; i < columns_.size(); ++i) {
         const CsvColumnSpec& spec = columns_[i];
+        const std::string_view cell = cells_[spec.column];
+        uint64_t integer = 0;
         double value = 0.0;
-        if (!ParseCell(cells_[spec.column], &value)) {
+        if (ReadInteger(cell, &integer)) {
+          // floor((v - 0) / 1) is v itself: no floating point.
+          if (spec.bin_width == 1.0 && spec.offset == 0.0) {
+            coords_[i] =
+                std::min<uint64_t>(integer, spec.attribute.cardinality - 1);
+            continue;
+          }
+          value = static_cast<double>(integer);
+        } else if (!ParseCell(cell, &value)) {
           if (options_.skip_bad_rows) {
             bad = true;
             break;
           }
           return Status::InvalidArgument(
               "line " + std::to_string(line_no_) + ": bad cell '" +
-              std::string(cells_[spec.column]) + "'");
+              std::string(cell) + "'");
         }
         double level = std::floor((value - spec.offset) / spec.bin_width);
         if (level < 0) level = 0;

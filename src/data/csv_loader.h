@@ -36,6 +36,22 @@
 // load fails with InvalidArgument naming the row's line. A good cell's
 // level is floor((value - offset) / bin_width), clamped into the
 // attribute's levels.
+//
+// Most cells are plain integers, so a selected cell of 1 to 15 ASCII
+// digits, with at most one '\r' after them (trailing space above, as in
+// a CRLF row's last cell), is read in place as an integer v, with no
+// std::from_chars. Every other cell is parsed by the grammar above. The
+// read is exact, not a second grammar:
+//   - v < 10^15 < 2^53, so (double)v is exact and equals what the
+//     correctly rounded decimal parse returns for the same text (and v
+//     is 0 or at least 1, never subnormal);
+//   - for a column with bin_width 1 and offset 0, floor((v - 0) / 1) is
+//     v, so the level is min(v, cardinality - 1), with no floating
+//     point;
+//   - any other column takes the floor, divide and clamp above on the
+//     exact (double)v.
+// The row scan splits a line at its separators byte by byte, up to the
+// widest selected column; an unselected cell is skipped, never parsed.
 
 #ifndef BLOWFISH_DATA_CSV_LOADER_H_
 #define BLOWFISH_DATA_CSV_LOADER_H_

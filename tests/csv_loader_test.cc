@@ -75,6 +75,23 @@ TEST(CsvLoaderTest, BinningAndOffset) {
   EXPECT_EQ(d.tuple(0), 0u);
   EXPECT_EQ(d.tuple(1), 4u);
   EXPECT_EQ(d.tuple(2), 9u);
+  // An integer cell, read in place, takes the same floor, divide and
+  // clamp as the same number written any other way: here
+  // floor((v - 3) / 2.5), clamped into [0, 9].
+  spec.attribute = Attribute{"v", 10, 1.0};
+  spec.bin_width = 2.5;
+  spec.offset = 3.0;
+  const std::pair<std::string, ValueIndex> cells[] = {
+      {"0", 0},  {"2", 0},  {"3", 0},    {"5", 0},  {"6", 1},
+      {"8", 2},  {"13", 4}, {"13.0", 4}, {"25", 8}, {"27", 9},
+      {"28", 9}, {"99", 9}, {"008", 2},  {"8\r", 2}};
+  std::string text = "v\n";
+  std::vector<ValueIndex> want;
+  for (const auto& [cell, level] : cells) {
+    text += cell + "\n";
+    want.push_back(level);
+  }
+  EXPECT_EQ(LoadCsv(text, {spec}).value().tuples(), want);
 }
 
 TEST(CsvLoaderTest, ClampsOutOfRange) {
@@ -155,6 +172,14 @@ TEST(CsvLoaderTest, LineStructure) {
   EXPECT_TRUE(tuples("v\n", v).empty());
   EXPECT_TRUE(tuples("v", v).empty());
   EXPECT_TRUE(tuples("", v).empty());
+  EXPECT_TRUE(tuples("v\r\n", v).empty());
+  EXPECT_TRUE(tuples("v\n\n\n", v).empty());
+  EXPECT_EQ(tuples("v\n\n5\n\n", v), (Tuples{5}));
+  // Without a header, blank lines are still no rows.
+  CsvOptions no_header;
+  no_header.has_header = false;
+  EXPECT_EQ(LoadCsv("\n\n3\n\n12", {v}, no_header).value().tuples(),
+            (Tuples{3, 9}));
   // A trailing separator makes an empty last cell, which is bad.
   CsvColumnSpec second = v;
   second.column = 1;
@@ -196,6 +221,28 @@ TEST(CsvLoaderTest, StrictModeNamesTheLine) {
   EXPECT_FALSE(LoadCsv("v\r\n1\r\n\r\n", {v}, opts).ok());
   EXPECT_FALSE(LoadCsv("v\n1e-400\n", {v}, opts).ok());
   EXPECT_TRUE(LoadCsv("v\n1\n\n2\n", {v}, opts).ok());
+  // A row that turns bad after an integer cell, read in place, is named
+  // by its line and its first bad cell in the specs' order.
+  CsvColumnSpec w = v;
+  w.column = 1;
+  w.attribute.name = "w";
+  const std::pair<std::string, std::string> cases[] = {
+      {"a,b\n1,2\n3,4x\n", "line 3: bad cell '4x'"},
+      {"a,b\n1,2\n3,x\n5,6\n", "line 3: bad cell 'x'"},
+      {"a,b\n1,2\n\n3,4 5\n", "line 4: bad cell '4 5'"},
+      {"a,b\r\n1,2\r\n3, \r\n", "line 3: bad cell ' \r'"},
+      {"a,b\n1,2\n3\n", "line 3: too few columns"},
+      {"a,b\n1,2\n3,-\n", "line 3: bad cell '-'"},
+      {"a,b\n1,2\n3,1.\n4,5.5.\n", "line 4: bad cell '5.5.'"}};
+  for (const auto& [text, message] : cases) {
+    auto refused = LoadCsv(text, {v, w}, opts);
+    ASSERT_FALSE(refused.ok()) << text;
+    EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(refused.status().message(), message) << text;
+  }
+  auto refused = LoadCsv("a,b\n1,2\nx,y\n", {w, v}, opts);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().message(), "line 3: bad cell 'y'");
 }
 
 TEST(CsvLoaderTest, NonFiniteCellsAreBad) {
@@ -229,6 +276,65 @@ TEST(CsvLoaderTest, HexCellsAreBad) {
             (std::vector<ValueIndex>{7}));
 }
 
+// A row's cells are read in place by the column each spec names, in the
+// specs' order; an unselected cell between them is skipped unread.
+TEST(CsvLoaderTest, SelectedColumnsOutOfOrder) {
+  auto spec = [](size_t column, const std::string& name) {
+    CsvColumnSpec c;
+    c.column = column;
+    c.attribute = Attribute{name, 10, 1.0};
+    return c;
+  };
+  Dataset d = LoadCsv("b,a\n4,9\n07,1\r\n", {spec(1, "a"), spec(0, "b")})
+                  .value();
+  ASSERT_EQ(d.size(), 2u);
+  EXPECT_EQ(d.domain().Coordinate(d.tuple(0), 0), 9u);
+  EXPECT_EQ(d.domain().Coordinate(d.tuple(0), 1), 4u);
+  EXPECT_EQ(d.domain().Coordinate(d.tuple(1), 0), 1u);
+  EXPECT_EQ(d.domain().Coordinate(d.tuple(1), 1), 7u);
+  d = LoadCsv("y,label,x\n3,some text,7\n8,+-x.,1\r\n12,,0\n",
+              {spec(2, "x"), spec(0, "y")})
+          .value();
+  ASSERT_EQ(d.size(), 3u);
+  EXPECT_EQ(d.domain().Coordinate(d.tuple(0), 0), 7u);
+  EXPECT_EQ(d.domain().Coordinate(d.tuple(0), 1), 3u);
+  EXPECT_EQ(d.domain().Coordinate(d.tuple(1), 0), 1u);
+  EXPECT_EQ(d.domain().Coordinate(d.tuple(1), 1), 8u);
+  EXPECT_EQ(d.domain().Coordinate(d.tuple(2), 0), 0u);
+  EXPECT_EQ(d.domain().Coordinate(d.tuple(2), 1), 9u);  // 12, clamped
+}
+
+// 15 digits are the most the in-place read takes: every such integer is
+// an exact double. 16 or more go through ParseDecimal, which rounds.
+TEST(CsvLoaderTest, FifteenAndSixteenDigitCells) {
+  CsvColumnSpec spec;
+  spec.column = 0;
+  spec.attribute = Attribute{"v", uint64_t{1} << 62, 1.0};
+  // The level of an integer cell is its value rounded to a double.
+  auto rounded = [](uint64_t v) {
+    return static_cast<ValueIndex>(static_cast<double>(v));
+  };
+  const std::pair<std::string, ValueIndex> cells[] = {
+      {"999999999999999", 999999999999999},
+      {"000000000000001", 1},
+      {"9007199254740993", rounded(9007199254740993)},  // 2^53 + 1
+      {"9999999999999999", rounded(9999999999999999)},
+      {"0000000000000004", 4},
+      {"123456789012345678", rounded(123456789012345678)}};
+  std::string text = "v\n";
+  std::vector<ValueIndex> want;
+  for (const auto& [cell, level] : cells) {
+    text += cell + "\n";
+    want.push_back(level);
+  }
+  ASSERT_NE(rounded(9007199254740993), 9007199254740993u);
+  EXPECT_EQ(LoadCsv(text, {spec}).value().tuples(), want);
+  // A narrow column clamps either read alike.
+  spec.attribute = Attribute{"v", 10, 1.0};
+  EXPECT_EQ(LoadCsv(text, {spec}).value().tuples(),
+            (std::vector<ValueIndex>{9, 1, 9, 9, 4, 9}));
+}
+
 // The loader as it was before the one-pass rewrite: a getline splitter
 // and std::stod per cell. The differential test below holds the loader
 // to it on generated text.
@@ -250,9 +356,11 @@ StatusOr<double> ReferenceParseCell(const std::string& cell) {
   }
 }
 
+/// Also counts the rows it skipped into `skipped`.
 StatusOr<std::vector<ValueIndex>> ReferenceLoad(
     const std::string& text, const std::vector<CsvColumnSpec>& columns,
-    const CsvOptions& options) {
+    const CsvOptions& options, int64_t* skipped) {
+  *skipped = 0;
   std::vector<Attribute> attrs;
   size_t max_column = 0;
   for (const CsvColumnSpec& c : columns) {
@@ -280,7 +388,10 @@ StatusOr<std::vector<ValueIndex>> ReferenceLoad(
       cells.push_back(cell);
     }
     if (cells.size() <= max_column) {
-      if (options.skip_bad_rows) continue;
+      if (options.skip_bad_rows) {
+        ++*skipped;
+        continue;
+      }
       return Status::InvalidArgument("line " + std::to_string(line_no) +
                                      ": too few columns");
     }
@@ -302,7 +413,8 @@ StatusOr<std::vector<ValueIndex>> ReferenceLoad(
           bad = true;
           break;
         }
-        return value.status();
+        return Status::InvalidArgument("line " + std::to_string(line_no) +
+                                       ": bad cell '" + text_cell + "'");
       }
       double level = std::floor((*value - spec.offset) / spec.bin_width);
       if (level < 0) level = 0;
@@ -311,7 +423,10 @@ StatusOr<std::vector<ValueIndex>> ReferenceLoad(
       if (level > max_level) level = max_level;
       coords[i] = static_cast<uint64_t>(level);
     }
-    if (bad) continue;
+    if (bad) {
+      ++*skipped;
+      continue;
+    }
     tuples.push_back(domain.Encode(coords));
   }
   return tuples;
@@ -366,11 +481,60 @@ std::string RandomCell(Random& rng, char separator) {
   }
 }
 
+/// A cell of 1 to 20 digits, often with leading zeros, whose value is
+/// near the test columns' cardinalities (7, 9, 50), at the edge of the
+/// in-place read (15 and 16 digits), or far past both. One in ten gets a
+/// stray 'x', space, '.' or '-' somewhere.
+std::string IntegerCell(Random& rng) {
+  std::string digits;
+  switch (rng.UniformInt(0, 3)) {
+    case 0:
+    case 1:
+      digits = std::to_string(rng.UniformInt(0, 60));
+      break;
+    case 2:
+      digits = RandomDigits(rng, 20);
+      break;
+    default:
+      digits = Pick(rng, {"6", "7", "8", "9", "49", "50", "51",
+                          "999999999999999", "100000000000000",
+                          "9007199254740993", "9999999999999999",
+                          "18446744073709551616", "99999999999999999999"});
+  }
+  if (rng.Bernoulli(0.3)) {
+    const size_t zeros = std::min<size_t>(
+        static_cast<size_t>(rng.UniformInt(1, 5)), 20 - digits.size());
+    digits.insert(0, zeros, '0');
+  }
+  if (rng.Bernoulli(0.1)) {
+    const size_t at = static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(digits.size())));
+    digits.insert(at, 1, Pick(rng, {"x", " ", ".", "-"})[0]);
+  }
+  return digits;
+}
+
+/// A row of integer cells: usually the three the test columns read,
+/// sometimes with extra trailing cells, sometimes too short.
+std::string IntegerRow(Random& rng, char separator) {
+  int64_t cells = 3;
+  if (rng.Bernoulli(0.2)) cells += rng.UniformInt(1, 2);
+  if (rng.Bernoulli(0.1)) cells = rng.UniformInt(1, 2);
+  std::string row;
+  for (int64_t cell = 0; cell < cells; ++cell) {
+    if (cell > 0) row += separator;
+    row += IntegerCell(rng);
+  }
+  return row;
+}
+
 std::string RandomCsv(Random& rng, char separator) {
   std::string text;
   for (int64_t line = rng.UniformInt(0, 12); line > 0; --line) {
     if (rng.Bernoulli(0.1)) {
       text += Pick(rng, {"", "\r"});
+    } else if (rng.Bernoulli(0.5)) {
+      text += IntegerRow(rng, separator);
     } else {
       for (int64_t cell = rng.UniformInt(1, 5); cell > 0; --cell) {
         text += RandomCell(rng, separator);
@@ -382,6 +546,11 @@ std::string RandomCsv(Random& rng, char separator) {
     }
   }
   return text;
+}
+
+/// The "line N" that an error message starts with.
+std::string ErrorLine(const Status& status) {
+  return status.message().substr(0, status.message().find(':'));
 }
 
 TEST(CsvLoaderTest, MatchesTheReferenceLoader) {
@@ -415,7 +584,8 @@ TEST(CsvLoaderTest, MatchesTheReferenceLoader) {
           options.separator = separator;
           options.skip_bad_rows = skip;
           options.metrics = &registry;
-          auto want = ReferenceLoad(text, columns, options);
+          int64_t want_skipped = 0;
+          auto want = ReferenceLoad(text, columns, options, &want_skipped);
           auto got = LoadCsv(text, columns, options);
           ASSERT_EQ(got.ok(), want.ok())
               << "text '" << text << "' header=" << has_header
@@ -424,9 +594,17 @@ TEST(CsvLoaderTest, MatchesTheReferenceLoader) {
           if (!want.ok()) {
             ++refused;
             EXPECT_EQ(got.status().code(), StatusCode::kInvalidArgument);
+            // The two split "4," differently (the reference drops the
+            // empty last cell), so the reasons may differ; the line
+            // may not.
+            EXPECT_EQ(ErrorLine(got.status()), ErrorLine(want.status()))
+                << "text '" << text << "'";
             continue;
           }
           ASSERT_EQ(got->tuples(), *want) << "text '" << text << "'";
+          EXPECT_EQ(registry.GetGauge("data_rows_skipped")->Value(),
+                    want_skipped)
+              << "text '" << text << "'";
           rows += want->size();
         }
       }
