@@ -58,6 +58,10 @@ class Domain {
   /// Row-major index of a coordinate vector. Asserts on arity/bounds.
   ValueIndex Encode(const std::vector<uint64_t>& coords) const;
 
+  /// Attribute `attr`'s row-major stride: Encode(coords) is the sum of
+  /// coords[i] * stride(i).
+  uint64_t stride(size_t attr) const { return strides_[attr]; }
+
   /// Inverse of Encode.
   std::vector<uint64_t> Decode(ValueIndex x) const;
 

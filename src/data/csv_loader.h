@@ -5,9 +5,9 @@
 // The loader is deliberately small: comma separation, optional header,
 // no quoting (none of the paper's datasets need it). Values are mapped to
 // domain levels either directly (integer columns) or through per-column
-// binning. It makes one pass over the text, with no allocation per line
-// or per cell. LoadCsvFile streams the file through the same parser, so
-// a load never holds the file's text.
+// binning. It parses with no allocation per line or per cell, and
+// LoadCsvFile reads the file in blocks, so a load never holds the file's
+// text.
 //
 // Lines end at '\n'; the last line needs none. With `has_header` the
 // first line is skipped whatever it holds, and a blank line is never a
@@ -52,6 +52,28 @@
 //     exact (double)v.
 // The row scan splits a line at its separators byte by byte, up to the
 // widest selected column; an unselected cell is skipped, never parsed.
+//
+// A large input is parsed on several threads. It is cut into W byte
+// ranges, each moved forward to the next line start, so every range is
+// a run of whole lines (a cut inside a long line moves to its end, and
+// two cuts can meet, leaving a range empty). W is the least of the
+// hardware threads, 8, and the input's size over 256 KiB, rounded down
+// (but at least 1). Range 0 runs on the calling thread and each other
+// range on a thread of its own, started and joined within the call:
+//   - pass 1 counts each range's lines;
+//   - the tuple vector is then allocated once, one slot per line but the
+//     header, and never grown;
+//   - pass 2 parses each range into its own run of slots;
+//   - a merge in range order returns the error of the first range that
+//     failed, with its line number in the whole input, and moves each
+//     range's rows down over the slots its blank and bad lines left
+//     empty.
+// So the tuples, the errors and the metrics are the same at every W.
+// An input under 512 KiB, and a pipe, is one range, parsed front to
+// back on the calling thread into a vector that grows. Each range's row
+// buffers sit on cache lines that only it writes; the seen levels of a
+// column up to 2^26 levels wide are one bitmap of atomic words that all
+// ranges share, written only when a bit is clear.
 
 #ifndef BLOWFISH_DATA_CSV_LOADER_H_
 #define BLOWFISH_DATA_CSV_LOADER_H_
@@ -115,14 +137,31 @@ StatusOr<Dataset> LoadCsv(const std::string& text,
 constexpr size_t kCsvReadBlockBytes = size_t{1} << 16;
 
 /// Loads the file at `path` as LoadCsv loads its bytes, returning what
-/// LoadCsv(text) returns, errors and metrics included. The file is read
-/// once, front to back in kCsvReadBlockBytes blocks, with no seek, so a
-/// pipe works ("--csv <(zcat data.csv.gz)"). A line that spans blocks is
-/// carried into the next read, so memory is one block plus the longest
-/// line, never the whole text. NotFound when the file cannot be opened.
+/// LoadCsv(text) returns, errors and metrics included. A regular file's
+/// size is read once, at open, and sets W. A file of W > 1 ranges is
+/// read to that size, and the load fails with Internal if the file
+/// turns out shorter or its lines change between the passes; each
+/// range's thread reads only its own bytes, kCsvReadBlockBytes at a time
+/// with pread, in pass 1 and again in pass 2. A file of one range, and a
+/// pipe ("--csv <(zcat data.csv.gz)"), is read once, front to back to
+/// its end with no seek, on the calling thread. A line that spans
+/// blocks is carried into the next read, so the text in memory is at
+/// most one block plus the longest line per range, never the whole
+/// file, and a file cut into ranges puts its tuples in one vector sized
+/// once by its line count. NotFound when the file cannot be opened.
 StatusOr<Dataset> LoadCsvFile(const std::string& path,
                               const std::vector<CsvColumnSpec>& columns,
                               const CsvOptions& options = {});
+
+namespace internal {
+
+/// Test seam: cuts every later load of a regular file or of text into
+/// `ranges` ranges (at most 8, and at most one per input byte) whatever
+/// its size; 0 restores the rule in the header comment. A pipe stays one
+/// range.
+void SetCsvRangesForTesting(size_t ranges);
+
+}  // namespace internal
 
 }  // namespace blowfish
 

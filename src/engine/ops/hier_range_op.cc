@@ -25,6 +25,8 @@
 // on the policies it accepts (unpinned), ComputeSensitivity is the
 // identical computation (the shape-cache contract).
 
+#include <cmath>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -47,8 +49,11 @@ class HierRangeOp final : public QueryOp {
     BLOWFISH_RETURN_IF_ERROR(kv.TakeIndex("lo", &lo_));
     BLOWFISH_RETURN_IF_ERROR(kv.TakeIndex("hi", &hi_));
     BLOWFISH_RETURN_IF_ERROR(kv.TakeIndex("fanout", &options_.fanout));
-    BLOWFISH_RETURN_IF_ERROR(
-        kv.TakeDouble("eps_s_fraction", &options_.eps_s_fraction));
+    // TakeDouble writes only a finite value, so NaN means "not given".
+    double fraction = std::numeric_limits<double>::quiet_NaN();
+    BLOWFISH_RETURN_IF_ERROR(kv.TakeDouble("eps_s_fraction", &fraction));
+    fraction_given_ = !std::isnan(fraction);
+    if (fraction_given_) options_.eps_s_fraction = fraction;
     std::optional<std::string> consistency = kv.Take("consistency");
     if (consistency.has_value()) {
       if (*consistency == "1" || *consistency == "true") {
@@ -84,9 +89,21 @@ class HierRangeOp final : public QueryOp {
     // from Execute after the budget was spent. The FailedPrecondition
     // ("theta below the domain resolution") case passes: an edgeless
     // graph has S = 0 and Execute releases the exact count for free.
-    Status theta =
-        OrderedHierarchicalMechanism::ResolveThetaSteps(policy).status();
-    if (theta.code() == StatusCode::kUnimplemented) return theta;
+    StatusOr<size_t> theta =
+        OrderedHierarchicalMechanism::ResolveThetaSteps(policy);
+    if (theta.status().code() == StatusCode::kUnimplemented) {
+      return theta.status();
+    }
+    // With 1 < theta < |T| the budget is split between the S nodes and
+    // the block trees, and a split of 0 or 1 leaves one class unnoised
+    // (Release refuses that too, but only after the charge).
+    if (fraction_given_ && theta.ok() && *theta > 1 &&
+        *theta < policy.domain().size() &&
+        !(options_.eps_s_fraction > 0.0 && options_.eps_s_fraction < 1.0)) {
+      return Status::InvalidArgument(
+          "'eps_s_fraction' must be in (0, 1) for op 'hier_range' when "
+          "1 < theta < |T|");
+    }
     return ValidateRangeInDomain(*this, policy, lo_, hi_);
   }
 
@@ -128,6 +145,7 @@ class HierRangeOp final : public QueryOp {
   size_t lo_ = 0;
   size_t hi_ = 0;
   OrderedHierarchicalOptions options_;
+  bool fraction_given_ = false;
 };
 
 const QueryOpRegistrar kRegistrar{

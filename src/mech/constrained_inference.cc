@@ -69,26 +69,31 @@ StatusOr<IntervalTree> IntervalTree::Build(size_t num_leaves, size_t fanout) {
   tree.fanout = fanout;
   tree.num_leaves = num_leaves;
   // Height h = ceil(log_f num_leaves); level l has ceil(n / f^(h-l)) nodes.
-  size_t height = 0;
-  size_t span = 1;
-  while (span < num_leaves) {
-    span *= fanout;
-    ++height;
+  // Built from the leaves up, since ceil(ceil(n / f^j) / f) is
+  // ceil(n / f^(j+1)): each level is its children's count over f, rounded
+  // up, and the root is the first level of one node. No power of f is
+  // formed, so no fanout overflows; a fanout >= n is a root over the
+  // leaves.
+  std::vector<size_t> sizes = {num_leaves};
+  while (sizes.back() > 1) {
+    const size_t below = sizes.back();
+    sizes.push_back(below / fanout + (below % fanout != 0 ? 1 : 0));
   }
-  tree.levels.resize(height + 1);
-  size_t level_span = span;  // f^h at the root
-  for (size_t l = 0; l <= height; ++l) {
-    size_t nodes = (num_leaves + level_span - 1) / level_span;
-    tree.levels[l].assign(nodes, 0.0);
-    level_span /= fanout;
+  tree.levels.resize(sizes.size());
+  for (size_t l = 0; l < sizes.size(); ++l) {
+    tree.levels[l].assign(sizes[sizes.size() - 1 - l], 0.0);
   }
   return tree;
 }
 
 std::pair<size_t, size_t> IntervalTree::NodeRange(size_t level,
                                                   size_t index) const {
+  // f^(h - level), saturated at num_leaves: a span that reaches it
+  // covers every leaf, whatever the power.
   size_t span = 1;
-  for (size_t l = height(); l > level; --l) span *= fanout;
+  for (size_t l = height(); l > level; --l) {
+    span = span > num_leaves / fanout ? num_leaves : span * fanout;
+  }
   size_t lo = index * span;
   size_t hi = std::min(lo + span, num_leaves);
   return {lo, hi};

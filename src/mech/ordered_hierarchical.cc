@@ -115,6 +115,15 @@ StatusOr<OrderedHierarchicalMechanism> OrderedHierarchicalMechanism::Release(
   if (theta >= n) frac = 0.0;
   const double eps_s = frac * epsilon;
   const double eps_h = epsilon - eps_s;
+  // Fail closed: S nodes s_2..s_k with no budget, or with a Laplace scale
+  // 1/eps_S that overflows, would be released exact (or as inf). An
+  // eps_S of 0 comes from a split of 0, or from a fraction so small that
+  // its product with epsilon underflows.
+  if (k > 1 && !(eps_s > 0.0 && std::isfinite(1.0 / eps_s))) {
+    return Status::InvalidArgument(
+        "the S nodes' budget eps_S = eps_s_fraction * eps is 0 or too "
+        "small for a finite Laplace scale");
+  }
 
   // True prefix counts at block boundaries.
   std::vector<double> cumulative = data.CumulativeSums();
@@ -145,9 +154,7 @@ StatusOr<OrderedHierarchicalMechanism> OrderedHierarchicalMechanism::Release(
   // --- Perturb ---
   // S nodes l >= 2 (1-indexed): Lap(1/eps_S); sensitivity 1 across the
   // S-node sequence (a move of <= theta crosses at most one boundary).
-  if (k > 1 && eps_s > 0.0) {
-    for (size_t l = 1; l < k; ++l) s_nodes[l] += rng.Laplace(1.0 / eps_s);
-  }
+  for (size_t l = 1; l < k; ++l) s_nodes[l] += rng.Laplace(1.0 / eps_s);
   // H nodes: Lap(2(h+1)/eps_H); H_1 (which owns s_1 as its root) enjoys
   // the combined budget Lap(2(h+1)/(eps_S + eps_H)). The paper writes the
   // scale as 2h/eps_H with h = ceil(log_f theta); we charge the *exact*

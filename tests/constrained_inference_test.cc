@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "util/random.h"
 #include "util/stats.h"
@@ -134,6 +135,28 @@ TEST(IntervalTreeTest, ShapeRagged) {
   EXPECT_EQ(t.levels[0].size(), 1u);
   EXPECT_EQ(t.levels[1].size(), 3u);  // ceil(10/4)
   EXPECT_EQ(t.levels[2].size(), 10u);
+}
+
+TEST(IntervalTreeTest, FanoutAtOrPastTheLeafCountIsOneLevel) {
+  // No power of the fanout is formed, so even the widest one builds the
+  // root over the leaves instead of wrapping to an empty root level.
+  for (const size_t fanout :
+       {size_t{8}, size_t{9}, size_t{1} << 63, ~size_t{0}}) {
+    SCOPED_TRACE("fanout " + std::to_string(fanout));
+    IntervalTree t = IntervalTree::Build(8, fanout).value();
+    EXPECT_EQ(t.height(), 1u);
+    ASSERT_EQ(t.levels.size(), 2u);
+    EXPECT_EQ(t.levels[0].size(), 1u);
+    EXPECT_EQ(t.levels[1].size(), 8u);
+    EXPECT_EQ(t.NodeRange(0, 0), (std::pair<size_t, size_t>{0, 8}));
+    EXPECT_EQ(t.NodeRange(1, 7), (std::pair<size_t, size_t>{7, 8}));
+    t.PopulateFromLeaves({1, 2, 3, 4, 5, 6, 7, 8});
+    EXPECT_DOUBLE_EQ(t.levels[0][0], 36.0);
+    EXPECT_DOUBLE_EQ(t.PrefixSum(5), 15.0);
+    EXPECT_DOUBLE_EQ(t.PrefixSum(8), 36.0);
+  }
+  // One leaf is the root itself, whatever the fanout.
+  EXPECT_EQ(IntervalTree::Build(1, ~size_t{0}).value().height(), 0u);
 }
 
 TEST(IntervalTreeTest, NodeRange) {

@@ -642,15 +642,18 @@ TEST(CsvLoaderTest, LoadsFromFile) {
 }
 
 /// What one load returned: its status, and on success its tuples and
-/// the row gauges it recorded into a fresh registry.
+/// the gauges it recorded into a fresh registry.
 struct LoadResult {
   std::string status;
   std::vector<ValueIndex> tuples;
   int64_t rows = 0;
   int64_t skipped = 0;
+  /// data_column_cardinality of each column, in the specs' order.
+  std::vector<int64_t> cardinalities;
 };
 
 LoadResult Summarize(const StatusOr<Dataset>& loaded,
+                     const std::vector<CsvColumnSpec>& columns,
                      obs::MetricsRegistry& registry) {
   LoadResult result;
   result.status = loaded.status().ToString();
@@ -658,6 +661,13 @@ LoadResult Summarize(const StatusOr<Dataset>& loaded,
     result.tuples = loaded->tuples();
     result.rows = registry.GetGauge("data_rows")->Value();
     result.skipped = registry.GetGauge("data_rows_skipped")->Value();
+    for (const CsvColumnSpec& c : columns) {
+      result.cardinalities.push_back(
+          registry
+              .GetGauge("data_column_cardinality{attr=" + c.attribute.name +
+                        "}")
+              ->Value());
+    }
   }
   return result;
 }
@@ -667,6 +677,7 @@ void ExpectSameLoad(const LoadResult& got, const LoadResult& want) {
   EXPECT_EQ(got.tuples, want.tuples);
   EXPECT_EQ(got.rows, want.rows);
   EXPECT_EQ(got.skipped, want.skipped);
+  EXPECT_EQ(got.cardinalities, want.cardinalities);
 }
 
 LoadResult LoadInMemory(const std::string& text,
@@ -674,7 +685,7 @@ LoadResult LoadInMemory(const std::string& text,
                         CsvOptions options) {
   obs::MetricsRegistry registry;
   options.metrics = &registry;
-  return Summarize(LoadCsv(text, columns, options), registry);
+  return Summarize(LoadCsv(text, columns, options), columns, registry);
 }
 
 LoadResult LoadFromPath(const std::string& path,
@@ -682,7 +693,25 @@ LoadResult LoadFromPath(const std::string& path,
                         CsvOptions options) {
   obs::MetricsRegistry registry;
   options.metrics = &registry;
-  return Summarize(LoadCsvFile(path, columns, options), registry);
+  return Summarize(LoadCsvFile(path, columns, options), columns, registry);
+}
+
+/// Cuts every load in its scope into `ranges` ranges; 0 is the loader's
+/// own rule.
+class ScopedRanges {
+ public:
+  explicit ScopedRanges(size_t ranges) {
+    internal::SetCsvRangesForTesting(ranges);
+  }
+  ~ScopedRanges() { internal::SetCsvRangesForTesting(0); }
+};
+
+/// Writes `text` to a file, returning its path.
+std::string WriteTempFile(const std::string& text, const std::string& name) {
+  const std::string path = ::testing::TempDir() + name;
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << text;
+  return path;
 }
 
 /// Writes `text` to a file and expects LoadCsvFile to return what
@@ -690,11 +719,7 @@ LoadResult LoadFromPath(const std::string& path,
 void ExpectStreamedLoadMatches(const std::string& text,
                                const std::vector<CsvColumnSpec>& columns,
                                CsvOptions options) {
-  const std::string path = ::testing::TempDir() + "csv_loader_stream.csv";
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << text;
-  }
+  const std::string path = WriteTempFile(text, "csv_loader_stream.csv");
   for (const bool skip : {true, false}) {
     SCOPED_TRACE(skip ? "skip_bad_rows" : "strict");
     options.skip_bad_rows = skip;
@@ -718,12 +743,15 @@ void FillTo(std::string* text, size_t size) {
   *text += size - text->size() == 3 ? "15\n" : "5\n";
 }
 
-/// Several blocks of random rows: good, bad, short, blank and padded
-/// lines, with LF or CRLF ends, and sometimes no final newline.
-std::string RandomLongCsv(Random& rng) {
+/// `min_blocks` to `max_blocks` blocks of random rows: good, bad, short,
+/// blank and padded lines, with LF or CRLF ends, and sometimes no final
+/// newline.
+std::string RandomLongCsv(Random& rng, int64_t min_blocks = 2,
+                          int64_t max_blocks = 4) {
   std::string text = "a,b,c\n";
   const size_t target =
-      kCsvReadBlockBytes * static_cast<size_t>(rng.UniformInt(2, 4)) +
+      kCsvReadBlockBytes *
+          static_cast<size_t>(rng.UniformInt(min_blocks, max_blocks)) +
       static_cast<size_t>(rng.UniformInt(0, 999));
   const bool crlf = rng.Bernoulli(0.5);
   while (text.size() < target) {
@@ -832,16 +860,13 @@ TEST(CsvLoaderTest, StreamedLoadAtBlockEdges) {
       << loaded.status;
 }
 
-TEST(CsvLoaderTest, StreamedLoadReadsAPipe) {
-  // The read end of a pipe, opened by its /dev/fd name and fed by a
-  // writer thread: the load reads it front to back, as for a
-  // `--csv <(...)` argument.
+/// Loads `text` through the read end of a pipe, opened by its /dev/fd
+/// name and fed by a writer thread, as for a `--csv <(...)` argument.
+LoadResult LoadThroughPipe(const std::string& text,
+                           const std::vector<CsvColumnSpec>& columns) {
   std::signal(SIGPIPE, SIG_IGN);  // a failed load closes the read end
-  const std::vector<CsvColumnSpec> columns = {ValueColumn(2), ValueColumn(0)};
-  Random rng(77);
-  const std::string text = RandomLongCsv(rng);
   int fds[2];
-  ASSERT_EQ(pipe(fds), 0);
+  if (pipe(fds) != 0) return LoadResult{"pipe failed", {}, 0, 0, {}};
   std::thread writer([&text, fd = fds[1]]() {
     for (size_t written = 0; written < text.size();) {
       const ssize_t n = write(fd, text.data() + written, text.size() - written);
@@ -850,13 +875,214 @@ TEST(CsvLoaderTest, StreamedLoadReadsAPipe) {
     }
     close(fd);
   });
-  const LoadResult got =
+  LoadResult got =
       LoadFromPath("/dev/fd/" + std::to_string(fds[0]), columns, {});
   close(fds[0]);
   writer.join();
+  return got;
+}
+
+TEST(CsvLoaderTest, StreamedLoadReadsAPipe) {
+  // The load reads a pipe front to back.
+  const std::vector<CsvColumnSpec> columns = {ValueColumn(2), ValueColumn(0)};
+  Random rng(77);
+  const std::string text = RandomLongCsv(rng);
+  const LoadResult got = LoadThroughPipe(text, columns);
   ExpectSameLoad(got, LoadInMemory(text, columns, {}));
   EXPECT_GT(text.size(), 2 * kCsvReadBlockBytes);
   EXPECT_GT(got.rows, 100);
+}
+
+CsvColumnSpec WideColumn(size_t column) {
+  CsvColumnSpec spec;
+  spec.column = column;
+  spec.attribute = Attribute{"w" + std::to_string(column), uint64_t{1} << 40,
+                             1.0};
+  return spec;
+}
+
+/// Expects LoadCsv and LoadCsvFile to return for `text`, in both bad-row
+/// modes and at every range count from 1 to 8 and the loader's own rule,
+/// what one range returns.
+void ExpectSameAtEveryRangeCount(const std::string& text,
+                                 const std::vector<CsvColumnSpec>& columns,
+                                 CsvOptions options) {
+  const std::string path = WriteTempFile(text, "csv_loader_ranges.csv");
+  for (const bool skip : {true, false}) {
+    options.skip_bad_rows = skip;
+    LoadResult one;
+    {
+      ScopedRanges scoped(1);
+      one = LoadInMemory(text, columns, options);
+    }
+    for (size_t ranges = 0; ranges <= 8; ++ranges) {
+      SCOPED_TRACE(std::string(skip ? "skip_bad_rows" : "strict") + ", " +
+                   std::to_string(ranges) + " ranges");
+      ScopedRanges scoped(ranges);
+      ExpectSameLoad(LoadInMemory(text, columns, options), one);
+      ExpectSameLoad(LoadFromPath(path, columns, options), one);
+    }
+  }
+  std::remove(path.c_str());
+}
+
+/// The distinct levels of each column among `tuples`.
+std::vector<int64_t> DistinctLevels(const std::vector<ValueIndex>& tuples,
+                                    const std::vector<CsvColumnSpec>& columns) {
+  std::vector<Attribute> attrs;
+  for (const CsvColumnSpec& c : columns) attrs.push_back(c.attribute);
+  const Domain domain = Domain::Create(attrs).value();
+  std::vector<int64_t> distinct;
+  for (size_t i = 0; i < columns.size(); ++i) {
+    std::vector<uint64_t> levels;
+    for (ValueIndex t : tuples) levels.push_back(domain.Coordinate(t, i));
+    std::sort(levels.begin(), levels.end());
+    distinct.push_back(std::unique(levels.begin(), levels.end()) -
+                       levels.begin());
+  }
+  return distinct;
+}
+
+// A load cut into ranges returns what the reference loader returns, at
+// every range count, from text and from a file: the tuples, the strict
+// error's line, and the row, skipped-row and cardinality gauges. The
+// first input is big enough for the loader's own rule to cut it on any
+// machine with two hardware threads.
+TEST(CsvLoaderTest, RangesMatchTheReferenceLoader) {
+  const std::vector<std::vector<CsvColumnSpec>> specs = {
+      {ValueColumn(2), ValueColumn(0)}, {WideColumn(1)}};
+  Random rng(20261022);
+  for (int trial = 0; trial < 3; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const std::string text =
+        trial == 0 ? RandomLongCsv(rng, 9, 10) : RandomLongCsv(rng);
+    for (const auto& columns : specs) {
+      for (const bool has_header : {true, false}) {
+        for (const bool skip : {true, false}) {
+          SCOPED_TRACE(std::string(has_header ? "header" : "no header") +
+                       (skip ? ", skip_bad_rows" : ", strict"));
+          CsvOptions options;
+          options.has_header = has_header;
+          options.skip_bad_rows = skip;
+          int64_t want_skipped = 0;
+          auto want = ReferenceLoad(text, columns, options, &want_skipped);
+          ScopedRanges scoped(1);
+          const LoadResult one = LoadInMemory(text, columns, options);
+          if (want.ok()) {
+            ASSERT_EQ(one.tuples, *want);
+            EXPECT_EQ(one.rows, static_cast<int64_t>(want->size()));
+            EXPECT_EQ(one.skipped, want_skipped);
+            EXPECT_EQ(one.cardinalities, DistinctLevels(*want, columns));
+          } else {
+            EXPECT_NE(one.status.find(" " + ErrorLine(want.status()) + ":"),
+                      std::string::npos)
+                << one.status << " vs " << want.status().ToString();
+          }
+        }
+      }
+      CsvOptions options;
+      ExpectSameAtEveryRangeCount(text, columns, options);
+      options.has_header = false;
+      ExpectSameAtEveryRangeCount(text, columns, options);
+    }
+  }
+}
+
+/// `text` filled to `size` bytes with one-cell rows ("5\n").
+std::string Filled(std::string text, size_t size) {
+  FillTo(&text, size);
+  return text;
+}
+
+// Where the cuts land: on a line start, inside a long line (so cuts meet
+// and ranges are empty), in a last line with no newline after the cut,
+// and on CRLF, blank and bad lines.
+TEST(CsvLoaderTest, RangeCutsAtLineEdges) {
+  const std::vector<CsvColumnSpec> column = {ValueColumn(0)};
+  std::vector<std::pair<std::string, std::string>> cases;
+  // Two halves of 5000 bytes: two ranges cut at byte 5000, just past the
+  // first half's last '\n'.
+  cases.emplace_back("cut on a line start",
+                     Filled("v\n", 5000) + Filled("", 5000));
+  // Cuts at a quarter, a half and three quarters all fall in one long
+  // line, and move to its end.
+  cases.emplace_back("cut inside a long line",
+                     Filled("v\n", 9000) + "4" + std::string(21998, ' ') +
+                         "\n" + Filled("", 9000));
+  // The last line has no '\n', so a cut inside it moves to the end of
+  // the input.
+  cases.emplace_back("no newline after the cut",
+                     Filled("v\n", 5000) + "7" + std::string(5000, ' '));
+  {
+    std::string text = "v\r\n";
+    while (text.size() < 20000) text += "12\r\n3 \r\n\r\n\n";
+    cases.emplace_back("CRLF and blank lines", text);
+  }
+  {
+    std::string text = "v\n";
+    while (text.size() < 20000) text += "1\nx\n\n2,3\n,\nnan\n";
+    cases.emplace_back("bad rows in every range", text);
+  }
+  cases.emplace_back("one line", "v");
+  cases.emplace_back("two lines, no final newline", "v\n5");
+  cases.emplace_back("header and blank lines", "v\n\n\n\n\n\n\n\n\n");
+  for (const auto& [name, text] : cases) {
+    SCOPED_TRACE(name);
+    for (const bool has_header : {true, false}) {
+      CsvOptions options;
+      options.has_header = has_header;
+      ExpectSameAtEveryRangeCount(text, column, options);
+    }
+  }
+}
+
+// A strict load names the first bad row of the whole input, with its
+// line number, whichever range holds it.
+TEST(CsvLoaderTest, StrictErrorInALaterRange) {
+  const std::vector<CsvColumnSpec> columns = {ValueColumn(0), ValueColumn(1)};
+  const std::string head = Filled("a,b\n", 30000);
+  const size_t head_lines =
+      static_cast<size_t>(std::count(head.begin(), head.end(), '\n'));
+  // Every row so far has one cell: fill the rest with two-cell rows.
+  std::string rows;
+  for (size_t i = 0; i < head_lines; ++i) rows += "1,2\n";
+  const std::string text = "a,b\n" + rows + rows + "3,x\n" + rows + "4\n" +
+                           rows;
+  const size_t bad_line = 1 + 2 * head_lines + 1;
+  const size_t short_line = bad_line + head_lines + 1;
+  const std::string path = WriteTempFile(text, "csv_loader_strict.csv");
+  CsvOptions strict;
+  strict.skip_bad_rows = false;
+  for (size_t ranges = 1; ranges <= 8; ++ranges) {
+    SCOPED_TRACE(std::to_string(ranges) + " ranges");
+    ScopedRanges scoped(ranges);
+    for (const LoadResult& got : {LoadInMemory(text, columns, strict),
+                                  LoadFromPath(path, columns, strict)}) {
+      EXPECT_EQ(got.status, "INVALID_ARGUMENT: line " +
+                                std::to_string(bad_line) + ": bad cell 'x'");
+    }
+    // Without the bad cell, the short row further on is the first error.
+    std::string fixed = text;
+    fixed.replace(fixed.find("3,x"), 3, "3,5");
+    EXPECT_EQ(LoadInMemory(fixed, columns, strict).status,
+              "INVALID_ARGUMENT: line " + std::to_string(short_line) +
+                  ": too few columns");
+    // Skipping, both rows count as skipped and the rest load.
+    const LoadResult skipped = LoadInMemory(text, columns, {});
+    EXPECT_EQ(skipped.skipped, 2);
+    EXPECT_EQ(skipped.rows, static_cast<int64_t>(4 * head_lines));
+  }
+  std::remove(path.c_str());
+}
+
+// A pipe is one range whatever the range count: it cannot be cut.
+TEST(CsvLoaderTest, PipeLoadsAtAnyRangeCount) {
+  const std::vector<CsvColumnSpec> columns = {ValueColumn(2), ValueColumn(0)};
+  Random rng(78);
+  const std::string text = RandomLongCsv(rng);
+  const LoadResult want = LoadInMemory(text, columns, {});
+  ScopedRanges scoped(8);
+  ExpectSameLoad(LoadThroughPipe(text, columns), want);
 }
 
 TEST(CsvLoaderTest, RecordsLoadMetrics) {

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 #include <string>
 #include <utility>
@@ -257,6 +258,109 @@ TEST(OrderedOpsE2ETest, HierRangeRefusesUnsupportedGraphsPreCharge) {
   ASSERT_TRUE(responses[1].status.ok()) << responses[1].status.ToString();
   // Only the served `range` touched the ledger.
   EXPECT_DOUBLE_EQ(engine->accountant().Spent(""), 0.25);
+}
+
+/// One `hier_range` answer from a fresh engine at `root_seed`, with the
+/// spend it left on the default session.
+struct HierRangeServed {
+  QueryResponse response;
+  double spent = 0.0;
+};
+
+HierRangeServed ServeHierRange(
+    const Policy& policy, const Dataset& data, uint64_t root_seed,
+    double eps, const std::vector<std::pair<std::string, std::string>>& kv) {
+  ReleaseEngineOptions options;
+  options.root_seed = root_seed;
+  options.default_session_budget = 4.0;
+  auto engine = ReleaseEngine::Create(policy, data, options).value();
+  auto responses = engine->ServeBatch({Request("hier_range", eps, kv)});
+  EXPECT_EQ(responses.size(), 1u);
+  return {responses[0], engine->accountant().Spent("")};
+}
+
+TEST(OrderedOpsE2ETest, HierRangeNeverReleasesUnnoisedSNodes) {
+  // G^{d,3} on 32 levels: theta = 3 cuts the domain into 11 blocks, and
+  // the range [6, 8] is s_3 - s_2, two S nodes and nothing else. An S
+  // share eps_S of 0 (a split of 0, or a subnormal split that underflows
+  // against eps) would publish that count exactly, the same under every
+  // root seed, at the full charge; a split of 1 leaves the block trees
+  // unnoised. Each is refused, and nothing stays charged.
+  auto domain = LineDomain(32);
+  Dataset data = MakeData(domain, 400, 23);
+  Policy policy =
+      Policy::Create(domain, std::shared_ptr<const SecretGraph>(
+                                 DistanceThresholdGraph::Create(domain, 3.0)
+                                     .value()
+                                     .release()))
+          .value();
+  const std::vector<std::pair<std::string, std::string>> range = {
+      {"lo", "6"}, {"hi", "8"}};
+  // The fixture's control: the default split noises the S nodes, so two
+  // root seeds answer differently.
+  const HierRangeServed first = ServeHierRange(policy, data, kSeed, 0.5, range);
+  const HierRangeServed second =
+      ServeHierRange(policy, data, kSeed + 1, 0.5, range);
+  ASSERT_TRUE(first.response.status.ok()) << first.response.status.ToString();
+  ASSERT_TRUE(second.response.status.ok());
+  EXPECT_NE(first.response.values, second.response.values);
+
+  struct Case {
+    std::string fraction;
+    double eps;
+    bool pre_charge;  // refused by admission, not charged and refunded
+  };
+  for (const Case& c : {Case{"0", 0.5, true}, Case{"1", 0.5, true},
+                        Case{"-0.5", 0.5, true}, Case{"1.5", 0.5, true},
+                        // 4.9e-324 * 0.5 rounds to 0.
+                        Case{"4.9e-324", 0.5, false},
+                        // 4.9e-324 * 1 > 0, but 1 / eps_S is inf.
+                        Case{"4.9e-324", 1.0, false}}) {
+    for (const uint64_t seed : {kSeed, kSeed + 1}) {
+      SCOPED_TRACE("eps_s_fraction=" + c.fraction + " eps=" +
+                   std::to_string(c.eps) + " seed=" + std::to_string(seed));
+      std::vector<std::pair<std::string, std::string>> kv = range;
+      kv.emplace_back("eps_s_fraction", c.fraction);
+      const HierRangeServed served =
+          ServeHierRange(policy, data, seed, c.eps, kv);
+      EXPECT_EQ(served.response.status.code(), StatusCode::kInvalidArgument)
+          << served.response.status.ToString();
+      EXPECT_TRUE(served.response.values.empty());
+      EXPECT_EQ(served.response.receipt.refunded, !c.pre_charge);
+      if (c.pre_charge) {
+        EXPECT_DOUBLE_EQ(served.response.receipt.charged, 0.0);
+      }
+      EXPECT_DOUBLE_EQ(served.spent, 0.0);
+    }
+  }
+
+  // A split inside (0, 1) still serves.
+  std::vector<std::pair<std::string, std::string>> kv = range;
+  kv.emplace_back("eps_s_fraction", "0.5");
+  const HierRangeServed tuned = ServeHierRange(policy, data, kSeed, 0.5, kv);
+  ASSERT_TRUE(tuned.response.status.ok()) << tuned.response.status.ToString();
+  EXPECT_DOUBLE_EQ(tuned.spent, 0.5);
+}
+
+TEST(OrderedOpsE2ETest, HierRangeServesAFanoutPastTheDomain) {
+  // The widest fanout made IntervalTree::Build wrap to an empty root
+  // level, and the release read past it. A fanout at or past |T| is the
+  // one-level tree: the root over the leaves.
+  auto domain = LineDomain(8);
+  Dataset data = MakeData(domain, 100, 29);
+  Policy policy =
+      Policy::Create(domain, std::make_shared<FullGraph>(domain->size()))
+          .value();
+  for (const std::string fanout :
+       {"8", "16", "9223372036854775808", "18446744073709551615"}) {
+    SCOPED_TRACE("fanout=" + fanout);
+    const HierRangeServed served = ServeHierRange(
+        policy, data, kSeed, 0.5, {{"lo", "1"}, {"hi", "5"}, {"fanout", fanout}});
+    ASSERT_TRUE(served.response.status.ok())
+        << served.response.status.ToString();
+    ASSERT_EQ(served.response.values.size(), 1u);
+    EXPECT_TRUE(std::isfinite(served.response.values[0]));
+  }
 }
 
 }  // namespace
